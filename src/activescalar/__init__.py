@@ -61,7 +61,6 @@ from .multipliers import (
     verify_assumptions,
 )
 from .stepping import (
-    ForcingSpec,
     SimulationState,
     SolverConfig,
     cfl_dt,

@@ -22,6 +22,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -307,7 +308,7 @@ def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
     if t_end is None:
         raise ConfigError("solver.t_end is required")
     dt_raw = kv.get("solver.dt", "auto")
-    dt = None if dt_raw.lower() == "auto" else float(dt_raw)
+    dt = None if dt_raw.lower() == "auto" else _get_float(kv, "solver.dt")
     cfl = _get_float(kv, "solver.cfl_safety", 0.5)
     integrator = kv.get("solver.integrator", "etdrk2").lower().replace("-", "")
     dealias = kv.get("solver.dealias", "2/3")
@@ -361,30 +362,32 @@ def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
 # Checkpoints
 
 
-def _independent_modes(grid: GridSpec) -> list[tuple[int, ...]]:
-    """Retained independent wavevectors in lexicographic order.
+@lru_cache(maxsize=8)
+def _independent_wavevectors(grid: GridSpec) -> np.ndarray:
+    """Retained independent wavevectors in lexicographic order, shape (count, d).
 
     One representative per conjugate pair: the lexicographically positive
     member (first nonzero component positive) of each k with components in
-    [-(N/2-1), N/2-1], excluding 0.
+    [-(N/2-1), N/2-1], excluding 0.  Read-only; shared by every checkpoint
+    of the grid.
     """
     half = grid.modes_per_axis // 2
-    rng = range(-(half - 1), half)
-    out = []
-    for k in _lex_product(rng, grid.dimension):
-        for v in k:
-            if v > 0:
-                out.append(k)
-                break
-            if v < 0:
-                break
+    axis = np.arange(-(half - 1), half)
+    lattice = np.meshgrid(*([axis] * grid.dimension), indexing="ij")
+    ks = np.stack([k.ravel() for k in lattice], axis=1)  # rows in lexicographic order
+    first_nonzero = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
+    out = ks[first_nonzero > 0]
+    out.flags.writeable = False
     return out
 
 
-def _lex_product(rng: range, d: int) -> Iterable[tuple[int, ...]]:
-    import itertools
+def _independent_modes(grid: GridSpec) -> list[tuple[int, ...]]:
+    """The checkpoint's mode order as wavevector tuples."""
+    return [tuple(k) for k in _independent_wavevectors(grid).tolist()]
 
-    return itertools.product(rng, repeat=d)
+
+def _fft_index(grid: GridSpec, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(ks.T % grid.modes_per_axis)
 
 
 def expected_coefficient_count(grid: GridSpec) -> int:
@@ -398,7 +401,7 @@ _HEADER = struct.Struct("<5sII d d d I d Q")  # magic d N t kappa gamma kind nu 
 def save_checkpoint(state: SimulationState, config: SolverConfig, path) -> None:
     """Write the bit-exact "ASCL1" snapshot of a simulation state."""
     grid = state.theta.grid
-    modes = _independent_modes(grid)
+    modes = _independent_wavevectors(grid)
     kind_code = _DRIFT_CODES[config.drift.kind]
     header = _HEADER.pack(
         MAGIC,
@@ -411,12 +414,7 @@ def save_checkpoint(state: SimulationState, config: SolverConfig, path) -> None:
         getattr(config.drift, "nu", 0.0),
         len(modes),
     )
-    c = state.theta.coeffs
-    payload = np.empty(2 * len(modes), dtype="<f8")
-    for i, k in enumerate(modes):
-        v = c[grid.index_of(k)]
-        payload[2 * i] = v.real
-        payload[2 * i + 1] = v.imag
+    payload = np.ascontiguousarray(state.theta.coeffs[_fft_index(grid, modes)], dtype="<c16")
     _atomic_write_bytes(path, header + payload.tobytes())
 
 
@@ -459,12 +457,11 @@ def load_checkpoint(path) -> tuple[SimulationState, CheckpointMeta]:
         raise CheckpointError(
             f"truncated checkpoint payload: expected {need} bytes, found {len(body)}"
         )
-    flat = np.frombuffer(body, dtype="<f8")
+    values = np.frombuffer(body, dtype="<c16")
+    modes = _independent_wavevectors(grid)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    for i, k in enumerate(_independent_modes(grid)):
-        v = complex(flat[2 * i], flat[2 * i + 1])
-        coeffs[grid.index_of(k)] = v
-        coeffs[grid.index_of(tuple(-x for x in k))] = np.conj(v)
+    coeffs[_fft_index(grid, modes)] = values
+    coeffs[_fft_index(grid, -modes)] = np.conj(values)
     state = SimulationState(t=t, theta=SpectralField._wrap(grid, coeffs), step_count=0)
     kind = _DRIFT_NAMES.get(kind_code)
     if kind is None:
@@ -536,7 +533,7 @@ def _diag_rows(records: list[DiagnosticRecord], hs: Sequence[float]):
 
 def _cmd_run(parsed: ParsedRun, out: Path, args) -> int:
     hs = [float(p) for p in parsed.raw.get("diag.hs", "1").split()]
-    every = int(parsed.raw.get("diag.observe_every", "1"))
+    every = _get_int(parsed.raw, "diag.observe_every", 1)
     records: list[DiagnosticRecord] = []
 
     def observer(state: SimulationState) -> None:

@@ -1,7 +1,7 @@
 """Spectral representation of real, mean-zero scalar fields on [0, 2pi]^d.
 
-Fields are stored as full complex Fourier coefficient lattices in numpy FFT
-layout under the convention
+Public fields are stored as full complex Fourier coefficient lattices in
+numpy FFT layout under the convention
 
     theta(x) = sum_k theta_hat(k) exp(i k . x),
 
@@ -16,6 +16,24 @@ Nonlinear products are dealiased with the 2/3 rule: all modes with any
 |k_j| > N/3 are zeroed before and after the pseudospectral product, which
 preserves the quadratic energy neutrality of advection by divergence-free
 drifts.
+
+Internally, transforms and time stepping work on the half spectrum of
+``scipy.fft.rfftn`` (last axis k_d = 0..N/2, ``GridSpec.half_shape``): a
+half spectrum stands for the real field whose full lattice is its Hermitian
+extension, so realness holds in the storage and needs no re-projection.
+``_from_half`` is the one conversion back to the full layout; it zeroes the
+mean and the Nyquist rows and symmetrises the k_d = 0 plane, the only part
+of a half spectrum whose Hermitian pairing it holds itself.  One etdrk2 step
+of a d-dimensional field transforms 2(2d+1) real fields (14 in 3-D, half the
+cost of a complex transform each), in one batched inverse and one batched
+forward call per stage.  Transforms are looked up as ``scipy.fft.<name>`` at
+call time, with the default worker count.
+
+The public ``advect`` checks its drift for divergence-freeness on every
+call.  The solver's stage right-hand sides call the unchecked kernels
+(``_half_to_physical``, ``_flux_divergence``) instead and rely on the
+certificate a ``SymbolTable`` takes once, when it is built
+(``multipliers.SymbolTable.require_divergence_free``).
 """
 
 from __future__ import annotations
@@ -25,6 +43,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .errors import (
     ContractViolationError,
@@ -136,6 +155,38 @@ class GridSpec:
         return np.floor(self.k_abs).astype(np.int64)
 
     @property
+    def axes(self) -> tuple[int, ...]:
+        """The trailing lattice axes, for batched transforms of stacked fields."""
+        return tuple(range(-self.dimension, 0))
+
+    @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of an rfftn half spectrum: the last axis holds k_d = 0..N/2."""
+        n = self.modes_per_axis
+        return (n,) * (self.dimension - 1) + (n // 2 + 1,)
+
+    def half(self, lattice: np.ndarray) -> np.ndarray:
+        """Contiguous k_d >= 0 part of full-layout data (trailing axes = lattice)."""
+        return np.ascontiguousarray(lattice[..., : self.modes_per_axis // 2 + 1])
+
+    @cached_property
+    def half_k_abs(self) -> np.ndarray:
+        return self.half(self.k_abs)
+
+    @cached_property
+    def half_ik(self) -> tuple[np.ndarray, ...]:
+        """i k_j per axis on the half spectrum, shaped for broadcasting."""
+        return tuple(1j * self.half(k).astype(np.float64) for k in self.wavenumbers)
+
+    @cached_property
+    def half_mode_mask(self) -> np.ndarray:
+        return self.half(self.mode_mask)
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
+        return self.half(self.dealias_mask)
+
+    @property
     def k_abs_max(self) -> float:
         """Largest |k| over retained (non-Nyquist) modes."""
         half = self.modes_per_axis // 2
@@ -153,10 +204,10 @@ class GridSpec:
         return tuple(int(kj) % n for kj in k)
 
 
-def _reflect(coeffs: np.ndarray) -> np.ndarray:
-    """Index map k -> -k in FFT layout."""
+def _reflect(coeffs: np.ndarray, ndim: int | None = None) -> np.ndarray:
+    """Index map k -> -k in FFT layout, over the first ndim axes (default all)."""
     out = coeffs
-    for ax in range(coeffs.ndim):
+    for ax in range(coeffs.ndim if ndim is None else ndim):
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
     return out
 
@@ -167,6 +218,27 @@ def _cleaned(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     c[grid.nyquist_mask] = 0.0
     c[(0,) * grid.dimension] = 0.0
     return c
+
+
+def _from_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Full lattice of the real field with half spectrum ``half``.
+
+    The mean mode and the Nyquist rows are zeroed and the k_d = 0 plane is
+    symmetrised; the k_d < 0 half is the conjugate reflection of the rest,
+    so the result is exactly Hermitian.
+    """
+    n = grid.modes_per_axis
+    full = np.empty(grid.shape, dtype=np.complex128)
+    top = full[..., : n // 2 + 1]
+    np.multiply(half, grid.half_mode_mask, out=top)
+    top[(0,) * grid.dimension] = 0.0
+    plane = top[..., 0]
+    plane[...] = 0.5 * (plane + np.conj(_reflect(plane)))
+    # full index n - j holds the conjugate of k_d = j, j = N/2-1 .. 1
+    full[..., n // 2 + 1 :] = np.conj(
+        _reflect(top[..., n // 2 - 1 : 0 : -1], ndim=grid.dimension - 1)
+    )
+    return full
 
 
 def _assert_invariants(grid: GridSpec, coeffs: np.ndarray) -> None:
@@ -300,10 +372,14 @@ def _check_same_grid(a, b) -> None:
 # Transforms
 
 
+def _half_to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
+    """Physical samples of the half spectra stacked on spec's trailing axes."""
+    return scipy.fft.irfftn(spec, s=grid.shape, axes=grid.axes, norm="forward")
+
+
 def to_physical(f: SpectralField) -> np.ndarray:
     """Sample theta(x) = sum_k theta_hat(k) e^{ikx} on the N^d lattice."""
-    n_total = f.coeffs.size
-    return np.real(np.fft.ifftn(f.coeffs)) * n_total
+    return _half_to_physical(f.grid, f.grid.half(f.coeffs))
 
 
 def from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -317,8 +393,8 @@ def from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     mean = float(np.mean(x))
     if abs(mean) > 1e-10 * max(rms, 1.0):
         raise InvalidFieldError(f"samples have nonzero mean {mean:.3g}")
-    c = np.fft.fftn(x) / x.size
-    return SpectralField._wrap(grid, _cleaned(grid, c))
+    c = scipy.fft.rfftn(x, norm="forward")
+    return SpectralField._wrap(grid, _from_half(grid, c))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +460,12 @@ def linf_norm(f: SpectralField, oversample: int = 2) -> float:
     n = f.grid.modes_per_axis
     d = f.grid.dimension
     m = oversample * n
-    big = np.zeros((m,) * d, dtype=np.complex128)
-    centered = np.fft.fftshift(f.coeffs)
-    sl = tuple(slice(m // 2 - n // 2, m // 2 + n // 2) for _ in range(d))
-    big[sl] = centered
-    phys = np.real(np.fft.ifftn(np.fft.ifftshift(big))) * m**d
+    top = n // 2  # retained |k_j| < N/2; the Nyquist rows are zero
+    src = [np.r_[0:top, n - top + 1 : n]] * (d - 1) + [np.arange(top)]
+    dst = [np.r_[0:top, m - top + 1 : m]] * (d - 1) + [np.arange(top)]
+    big = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
+    big[np.ix_(*dst)] = f.coeffs[np.ix_(*src)]
+    phys = scipy.fft.irfftn(big, s=(m,) * d, norm="forward")
     return float(np.max(np.abs(phys)))
 
 
@@ -423,11 +500,26 @@ def divergence_residual(u: VectorField) -> float:
 
 
 def _dealias_selector(grid: GridSpec, rule: str) -> np.ndarray:
+    """Half-spectrum mask of the modes kept around a product under ``rule``."""
     if rule in ("2/3", "two_thirds"):
-        return grid.dealias_mask
+        return grid.half_dealias_mask
     if rule in ("none", None):
-        return grid.mode_mask
+        return grid.half_mode_mask
     raise ValueError(f"unknown dealias rule {rule!r}")
+
+
+def _flux_divergence(grid: GridSpec, flux: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """mask * (i k . F_hat), F_hat the half spectra of the d physical fluxes.
+
+    The advection kernel behind ``advect`` and the solver's stage
+    right-hand sides; it does not check the drift for divergence-freeness.
+    """
+    fh = scipy.fft.rfftn(flux, axes=grid.axes, norm="forward")
+    acc = grid.half_ik[0] * fh[0]
+    for ik, comp in zip(grid.half_ik[1:], fh[1:]):
+        acc += ik * comp
+    acc *= mask
+    return acc
 
 
 def advect(u: VectorField, theta: SpectralField, dealias: str = "2/3") -> SpectralField:
@@ -445,14 +537,10 @@ def advect(u: VectorField, theta: SpectralField, dealias: str = "2/3") -> Spectr
         )
     grid = theta.grid
     mask = _dealias_selector(grid, dealias)
-    n_total = theta.coeffs.size
-    th_phys = np.real(np.fft.ifftn(theta.coeffs * mask)) * n_total
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for k, comp in zip(grid.wavenumbers, u.components):
-        u_phys = np.real(np.fft.ifftn(comp.coeffs * mask)) * n_total
-        flux_hat = np.fft.fftn(u_phys * th_phys) / n_total
-        acc += 1j * k.astype(np.float64) * (flux_hat * mask)
-    return SpectralField._wrap(grid, _cleaned(grid, acc))
+    stacked = np.stack([theta.coeffs] + [comp.coeffs for comp in u.components])
+    phys = _half_to_physical(grid, grid.half(stacked) * mask)
+    acc = _flux_divergence(grid, phys[1:] * phys[0], mask)
+    return SpectralField._wrap(grid, _from_half(grid, acc))
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ and the nu-Lipschitz estimate |k|^2 |dM/dnu| <= C.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import ContractViolationError, GridMismatchError
-from .grid import GridSpec, SpectralField, VectorField, _cleaned
+from .grid import GridSpec, SpectralField, VectorField, _cleaned, _from_half
 
 __all__ = [
     "MultiplierSpec",
@@ -124,12 +125,16 @@ class SymbolTable:
     """Precomputed multiplier values M(k) on a grid's retained lattice.
 
     values has shape (d, N, ..., N).  Immutable after build; safe to share
-    across threads.
+    across threads.  Construction takes the divergence certificate once:
+    ``divergence_max`` is the largest A1 audit ratio of the table, and
+    ``require_divergence_free`` is what the solver checks before it runs
+    its unchecked advection kernel with this table.
     """
 
     grid: GridSpec
     values: np.ndarray
     spec: MultiplierSpec
+    divergence_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.grid.dimension,) + self.grid.shape
@@ -138,6 +143,24 @@ class SymbolTable:
                 f"symbol values shape {self.values.shape}, expected {expected}"
             )
         self.values.flags.writeable = False
+        object.__setattr__(self, "divergence_max", float(np.max(self.divergence_ratio())))
+
+    def require_divergence_free(self) -> None:
+        """Raise ContractViolationError unless the table passes the A1 audit."""
+        if self.divergence_max > DIV_AUDIT_RTOL:
+            raise ContractViolationError(
+                f"symbol table {self.spec.label or self.spec.kind!r} is not "
+                f"divergence-free: A1 ratio {self.divergence_max:.3e}"
+            )
+
+    @cached_property
+    def half_values(self) -> np.ndarray:
+        """Half-spectrum values of the Hermitian part (M(k) + conj M(-k))/2.
+
+        For a real theta the real drift of M is that of its Hermitian part;
+        the built-in laws are Hermitian already and pass through unchanged.
+        """
+        return self.grid.half(np.stack([_cleaned(self.grid, v) for v in self.values]))
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean |M(k)|."""
@@ -201,11 +224,9 @@ def apply_drift(table: SymbolTable, theta: SpectralField) -> VectorField:
     """u_j with coefficients M_j(k) theta_hat(k); divergence-free and real."""
     if table.grid != theta.grid:
         raise GridMismatchError("symbol table and field grids differ")
-    comps = tuple(
-        SpectralField._wrap(theta.grid, _cleaned(theta.grid, table.values[j] * theta.coeffs))
-        for j in range(theta.grid.dimension)
-    )
-    return VectorField(comps)
+    grid = theta.grid
+    coeffs = table.half_values * grid.half(theta.coeffs)
+    return VectorField(tuple(SpectralField._wrap(grid, _from_half(grid, c)) for c in coeffs))
 
 
 @dataclass
@@ -261,7 +282,7 @@ def verify_assumptions(
     origin = (0,) * grid.dimension
     for nu, s in specs:
         table = build_symbol_table(s, grid)
-        ratio = float(np.max(table.divergence_ratio()))
+        ratio = table.divergence_max
         div_max = max(div_max, ratio)
         if ratio > DIV_AUDIT_RTOL:
             flags.append(f"A1: divergence ratio {ratio:.3e} at nu={nu}")

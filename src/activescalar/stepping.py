@@ -12,12 +12,21 @@ explicitly by one of two schemes:
 Auto time-step selection recomputes the advective CFL bound every 10 steps
 and is capped at dt_max = 0.05 to control the explicit forcing integration
 error.
+
+Within a step the state and the stage right-hand sides live on rfftn half
+spectra (see ``grid``): ``step`` converts the state to its half spectrum
+once, runs the stages there, and converts back once.  The in-step CFL guard
+reads the physical drift of the first stage, which equals the full drift
+whenever theta has no energy outside the dealias band.  The diagonal linear
+factors are cached per (grid, kappa, gamma, h, integrator) in a bounded
+LRU cache.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +34,7 @@ import numpy as np
 from .errors import (
     BlowUpError,
     ConfigError,
-    InvalidFieldError,
+    GridMismatchError,
     ObserverError,
     StabilityError,
 )
@@ -33,8 +42,10 @@ from .grid import (
     GridSpec,
     SpectralField,
     VectorField,
-    _cleaned,
-    advect,
+    _dealias_selector,
+    _flux_divergence,
+    _from_half,
+    _half_to_physical,
     linf_norm,
     sobolev_norm,
 )
@@ -43,7 +54,6 @@ from .multipliers import MultiplierSpec, SymbolTable, apply_drift, build_symbol_
 __all__ = [
     "SolverConfig",
     "SimulationState",
-    "ForcingSpec",
     "linear_propagator",
     "cfl_dt",
     "step",
@@ -56,6 +66,9 @@ CFL_FLOOR = 1e-8
 CFL_RECOMPUTE_EVERY = 10
 CFL_VIOLATION_FACTOR = 10.0
 BLOWUP_GROWTH_FACTOR = 1e6
+# Distinct (grid, kappa, gamma, h, integrator) keys whose linear factors are
+# kept; auto dt and the shortened last step each add keys, evicted in LRU order.
+LINEAR_FACTOR_CACHE_SIZE = 8
 
 INTEGRATORS = ("etdrk2", "ifrk4")
 
@@ -97,18 +110,9 @@ class SimulationState:
     step_count: int = 0
 
 
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Time-independent forcing; mean-zero by SpectralField construction."""
-
-    field: SpectralField
-
-
-def _forcing_field(S: SpectralField | ForcingSpec | None, grid: GridSpec) -> SpectralField:
+def _forcing_field(S: SpectralField | None, grid: GridSpec) -> SpectralField:
     if S is None:
         return SpectralField.zeros(grid)
-    if isinstance(S, ForcingSpec):
-        return S.field
     return S
 
 
@@ -124,6 +128,10 @@ def linear_propagator(grid: GridSpec, kappa: float, gamma: float, h: float) -> n
 def cfl_dt(u: VectorField, grid: GridSpec, cfl_safety: float = 0.5) -> float:
     """Advective step bound cfl_safety * dx / max(|u|_inf, floor)."""
     umax = max(linf_norm(comp, oversample=1) for comp in u.components)
+    return _cfl_bound(grid, umax, cfl_safety)
+
+
+def _cfl_bound(grid: GridSpec, umax: float, cfl_safety: float) -> float:
     return cfl_safety * grid.dx / max(umax, CFL_FLOOR)
 
 
@@ -147,42 +155,72 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_nonlinear(
-    config: SolverConfig, S: SpectralField, table: SymbolTable
-) -> Callable[[np.ndarray], np.ndarray]:
-    """N(theta) = S - u[theta].grad(theta) acting on raw coefficient arrays."""
-    grid = S.grid
+@lru_cache(maxsize=LINEAR_FACTOR_CACHE_SIZE)
+def _linear_factors(
+    grid: GridSpec, kappa: float, gamma: float, h: float, integrator: str
+) -> tuple[np.ndarray, ...]:
+    """Half-spectrum diagonal factors of one step of the given integrator.
 
-    def rhs(theta_coeffs: np.ndarray) -> np.ndarray:
-        theta = SpectralField._wrap(grid, theta_coeffs)
-        u = apply_drift(table, theta)
-        adv = advect(u, theta, dealias=config.dealias)
-        return S.coeffs - adv.coeffs
+    etdrk2: (e^z, h phi1(z), h phi2(z)) with z = -kappa |k|^gamma h;
+    ifrk4: (e^{z/2}, e^z).  The arrays are shared between callers and
+    threads, so they are read-only.
+    """
+    z = (-kappa * grid.half_k_abs**gamma) * h
+    if integrator == "etdrk2":
+        factors = (np.exp(z), h * _phi1(z), h * _phi2(z))
+    else:
+        e_half = np.exp(z / 2.0)
+        factors = (e_half, e_half * e_half)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
+def _make_nonlinear(
+    config: SolverConfig, grid: GridSpec, S: SpectralField | None, table: SymbolTable
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """N(theta) = S - u[theta].grad(theta) on half spectra of the grid.
+
+    The returned function also hands back the physical (dealiased) drift of
+    the stage, for the CFL guard.  The table must carry its divergence
+    certificate: the advection kernel does not check the drift.
+    """
+    if table.grid != grid:
+        raise GridMismatchError("symbol table and field grids differ")
+    table.require_divergence_free()
+    S_half = grid.half(_forcing_field(S, grid).coeffs)
+    mask = _dealias_selector(grid, config.dealias)
+    values = table.half_values
+    shape = (grid.dimension + 1,) + grid.half_shape
+
+    def rhs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        spec = np.empty(shape, dtype=np.complex128)
+        np.multiply(c, mask, out=spec[0])
+        np.multiply(values, spec[0], out=spec[1:])
+        phys = _half_to_physical(grid, spec)
+        u = phys[1:]
+        return S_half - _flux_divergence(grid, u * phys[0], mask), u
 
     return rhs
 
 
-def _etdrk2_step(c: np.ndarray, h: float, lam: np.ndarray, rhs) -> np.ndarray:
-    z = lam * h
-    e = np.exp(z)
-    p1 = _phi1(z)
-    p2 = _phi2(z)
-    n0 = rhs(c)
-    mid = e * c + h * p1 * n0
+def _etdrk2_step(c, h, factors, rhs, n0) -> np.ndarray:
+    e, hp1, hp2 = factors
+    mid = e * c + hp1 * n0
     n1 = rhs(mid)
-    return mid + h * p2 * (n1 - n0)
+    return mid + hp2 * (n1 - n0)
 
 
-def _ifrk4_step(c: np.ndarray, h: float, lam: np.ndarray, rhs) -> np.ndarray:
-    e_half = np.exp(lam * h / 2.0)
-    e_full = e_half * e_half
-    k1 = rhs(c)
+def _ifrk4_step(c, h, factors, rhs, k1) -> np.ndarray:
+    e_half, e_full = factors
     k2 = rhs(e_half * (c + 0.5 * h * k1))
     k3 = rhs(e_half * c + 0.5 * h * k2)
     k4 = rhs(e_full * c + h * e_half * k3)
     return e_full * c + (h / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
+# (c, h, factors, rhs, n0) -> next half spectrum; n0 = rhs(c) is passed in
+# because step() has already evaluated it for the CFL guard.
 _STEPPERS = {"etdrk2": _etdrk2_step, "ifrk4": _ifrk4_step}
 
 
@@ -190,13 +228,13 @@ def _nonfinite_shell(grid: GridSpec, coeffs: np.ndarray) -> int:
     bad = ~np.isfinite(coeffs.real) | ~np.isfinite(coeffs.imag)
     if not bad.any():
         return -1
-    return int(np.min(grid.shell_index[bad]))
+    return int(np.min(grid.half(grid.shell_index)[bad]))
 
 
 def step(
     state: SimulationState,
     config: SolverConfig,
-    S: SpectralField | ForcingSpec | None,
+    S: SpectralField | None,
     table: SymbolTable,
     h: float | None = None,
 ) -> SimulationState:
@@ -204,36 +242,36 @@ def step(
 
     The linear flow is exact: with zero advection and forcing the update is
     exactly exp(-kappa |k|^gamma h) per coefficient.  Raises StabilityError
-    when h exceeds the advective CFL bound by more than a factor of 10 and
-    BlowUpError when the update produces non-finite coefficients.
+    when h exceeds the advective CFL bound by more than a factor of 10,
+    BlowUpError when the update produces non-finite coefficients, and
+    ContractViolationError when the table is not divergence-free.
     """
     if h is None:
         h = config.dt
     if h is None or h <= 0:
         raise ConfigError("step needs a positive time step (set config.dt or pass h)")
     grid = state.theta.grid
-    S_field = _forcing_field(S, grid)
+    rhs = _make_nonlinear(config, grid, S, table)
 
-    u = apply_drift(table, state.theta)
-    bound = cfl_dt(u, grid, config.cfl_safety)
+    c = grid.half(state.theta.coeffs)
+    n0, u = rhs(c)
+    if np.any(c[~_dealias_selector(grid, config.dealias)]):
+        # the first stage saw a truncated drift; measure the full one
+        bound = cfl_dt(apply_drift(table, state.theta), grid, config.cfl_safety)
+    else:
+        bound = _cfl_bound(grid, float(np.max(np.abs(u))), config.cfl_safety)
     if h > CFL_VIOLATION_FACTOR * bound:
         raise StabilityError(
             f"dt={h:.3g} exceeds CFL bound {bound:.3g} by more than "
             f"{CFL_VIOLATION_FACTOR:.0f}x at t={state.t:.6g}"
         )
 
-    lam = -config.kappa * grid.k_abs**config.gamma
-    rhs = _make_nonlinear(config, S_field, table)
-    try:
-        new_coeffs = _STEPPERS[config.integrator](state.theta.coeffs, h, lam, rhs)
-    except InvalidFieldError as exc:
-        # a Runge-Kutta stage already overflowed double precision
-        raise BlowUpError(t=state.t + h, detail=str(exc)) from exc
+    factors = _linear_factors(grid, config.kappa, config.gamma, h, config.integrator)
+    new = _STEPPERS[config.integrator](c, h, factors, lambda x: rhs(x)[0], n0)
+    if not np.all(np.isfinite(new.view(np.float64))):
+        raise BlowUpError(t=state.t + h, shell=_nonfinite_shell(grid, new))
 
-    if not np.all(np.isfinite(new_coeffs.view(np.float64))):
-        raise BlowUpError(t=state.t + h, shell=_nonfinite_shell(grid, new_coeffs))
-
-    theta = SpectralField._wrap(grid, _cleaned(grid, new_coeffs))
+    theta = SpectralField._wrap(grid, _from_half(grid, new))
     return SimulationState(t=state.t + h, theta=theta, step_count=state.step_count + 1)
 
 
@@ -261,7 +299,7 @@ def _validate_inputs(
 def run(
     config: SolverConfig,
     theta0: SpectralField,
-    S: SpectralField | ForcingSpec | None = None,
+    S: SpectralField | None = None,
     table: SymbolTable | None = None,
     observers: Sequence[Callable[[SimulationState], None]] = (),
     observe_every: int = 1,
@@ -273,13 +311,17 @@ def run(
     accepted step, and on the final state.  Observer exceptions abort the
     run wrapped in ObserverError with the simulation time attached.
     Set check_vertical_mean=False when continuing an mg trajectory from a
-    mid-run snapshot.
+    mid-run snapshot.  A table without its divergence certificate is
+    rejected with ContractViolationError before the first step.
     """
+    if observe_every < 1:
+        raise ConfigError(f"observe_every must be >= 1, got {observe_every}")
     grid = theta0.grid
     S_field = _forcing_field(S, grid)
     _validate_inputs(config, theta0, S_field, check_vertical_mean)
     if table is None:
         table = build_symbol_table(config.drift, grid)
+    table.require_divergence_free()
     if config.kappa == 0.0 and not symbol_is_bounded(config.drift, grid):
         warnings.warn(
             "kappa=0 with a singular (unbounded-symbol) drift is only locally "

@@ -19,16 +19,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTangentError
-from .grid import GridSpec, SpectralField, _cleaned, advect
+from .errors import ConfigError, DegenerateTangentError, GridMismatchError
+from .grid import (
+    GridSpec,
+    SpectralField,
+    _cleaned,
+    _dealias_selector,
+    _flux_divergence,
+    _from_half,
+    _half_to_physical,
+)
 from .multipliers import SymbolTable, apply_drift, build_symbol_table
 from .stepping import (
     DT_MAX,
     SimulationState,
     SolverConfig,
     _forcing_field,
-    _phi1,
-    _phi2,
+    _linear_factors,
+    _make_nonlinear,
     cfl_dt,
     step,
 )
@@ -95,23 +103,37 @@ def linearized_rhs(
     if theta.grid != psi.grid:
         raise ConfigError("linearized_rhs needs theta and psi on one grid")
     grid = theta.grid
-    lam = -config.kappa * grid.k_abs**config.gamma
-    out = lam * psi.coeffs
-    out -= advect(apply_drift(table, theta), psi, dealias=config.dealias).coeffs
-    out -= advect(apply_drift(table, psi), theta, dealias=config.dealias).coeffs
-    return SpectralField._wrap(grid, out)
+    if table.grid != grid:
+        raise GridMismatchError("symbol table and field grids differ")
+    lam = -config.kappa * grid.half_k_abs**config.gamma
+    psi_c = grid.half(psi.coeffs)
+    out = lam * psi_c + _tangent_rhs_factory(config, table)(grid.half(theta.coeffs), psi_c)
+    return SpectralField._wrap(grid, _from_half(grid, out))
 
 
 def _tangent_rhs_factory(config: SolverConfig, table: SymbolTable):
-    """DN(theta)[psi] for N(theta) = S - u[theta].grad theta (S drops out)."""
+    """DN(theta)[psi] for N(theta) = S - u[theta].grad theta (S drops out).
+
+    Acts on half spectra.  The two transport terms, both in divergence
+    form, share one forward transform of the summed flux
+    u[theta] psi + u[psi] theta: 2(d+1) inverse and d forward transforms.
+    """
+    table.require_divergence_free()
     grid = table.grid
+    d = grid.dimension
+    mask = _dealias_selector(grid, config.dealias)
+    values = table.half_values
+    shape = (2 * (d + 1),) + grid.half_shape  # theta, psi, u[theta], u[psi]
 
     def dn(theta_coeffs: np.ndarray, psi_coeffs: np.ndarray) -> np.ndarray:
-        theta = SpectralField._wrap(grid, theta_coeffs)
-        psi = SpectralField._wrap(grid, psi_coeffs)
-        a = advect(apply_drift(table, theta), psi, dealias=config.dealias)
-        b = advect(apply_drift(table, psi), theta, dealias=config.dealias)
-        return -(a.coeffs + b.coeffs)
+        spec = np.empty(shape, dtype=np.complex128)
+        np.multiply(theta_coeffs, mask, out=spec[0])
+        np.multiply(psi_coeffs, mask, out=spec[1])
+        np.multiply(values, spec[0], out=spec[2 : d + 2])
+        np.multiply(values, spec[1], out=spec[d + 2 :])
+        phys = _half_to_physical(grid, spec)
+        flux = phys[2 : d + 2] * phys[1] + phys[d + 2 :] * phys[0]
+        return -_flux_divergence(grid, flux, mask)
 
     return dn
 
@@ -129,34 +151,28 @@ def tangent_step(
     if h is None or h <= 0:
         raise ConfigError("tangent_step needs a positive time step")
     grid = bundle.base.theta.grid
-    S_field = _forcing_field(S, grid)
-    lam = -config.kappa * grid.k_abs**config.gamma
+    rhs = _make_nonlinear(config, grid, S, table)
     dn = _tangent_rhs_factory(config, table)
+    factors = _linear_factors(grid, config.kappa, config.gamma, h, config.integrator)
 
     def nl(theta_coeffs: np.ndarray) -> np.ndarray:
-        theta = SpectralField._wrap(grid, theta_coeffs)
-        adv = advect(apply_drift(table, theta), theta, dealias=config.dealias)
-        return S_field.coeffs - adv.coeffs
+        return rhs(theta_coeffs)[0]
 
-    c = bundle.base.theta.coeffs
-    psis = [p.coeffs for p in bundle.tangents]
+    c = grid.half(bundle.base.theta.coeffs)
+    psis = [grid.half(p.coeffs) for p in bundle.tangents]
 
     if config.integrator == "etdrk2":
-        z = lam * h
-        e = np.exp(z)
-        p1 = _phi1(z)
-        p2 = _phi2(z)
+        e, hp1, hp2 = factors
         n0 = nl(c)
-        mid = e * c + h * p1 * n0
-        new_c = mid + h * p2 * (nl(mid) - n0)
+        mid = e * c + hp1 * n0
+        new_c = mid + hp2 * (nl(mid) - n0)
         new_psis = []
         for pc in psis:
             l0 = dn(c, pc)
-            pmid = e * pc + h * p1 * l0
-            new_psis.append(pmid + h * p2 * (dn(mid, pmid) - l0))
+            pmid = e * pc + hp1 * l0
+            new_psis.append(pmid + hp2 * (dn(mid, pmid) - l0))
     else:  # ifrk4
-        e_half = np.exp(lam * h / 2.0)
-        e_full = e_half * e_half
+        e_half, e_full = factors
         k1 = nl(c)
         b2 = e_half * (c + 0.5 * h * k1)
         k2 = nl(b2)
@@ -180,12 +196,10 @@ def tangent_step(
 
     base = SimulationState(
         t=bundle.base.t + h,
-        theta=SpectralField._wrap(grid, _cleaned(grid, new_c)),
+        theta=SpectralField._wrap(grid, _from_half(grid, new_c)),
         step_count=bundle.base.step_count + 1,
     )
-    tangents = tuple(
-        SpectralField._wrap(grid, _cleaned(grid, pc)) for pc in new_psis
-    )
+    tangents = tuple(SpectralField._wrap(grid, _from_half(grid, pc)) for pc in new_psis)
     return TangentBundle(base=base, tangents=tangents, inner_product=bundle.inner_product)
 
 

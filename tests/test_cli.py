@@ -1,5 +1,6 @@
 """Tests for config parsing, checkpoint format, CSV output and CLI dispatch."""
 
+import itertools
 import json
 import struct
 from pathlib import Path
@@ -113,7 +114,30 @@ init.modes = 1 1 0 1.0 0.0
         assert not np.array_equal(a.theta0.coeffs, c.theta0.coeffs)
 
 
+def loop_reference_payload(theta):
+    """ASCL1 payload written mode by mode, as the format defines it."""
+    grid = theta.grid
+    half = grid.modes_per_axis // 2
+    values = []
+    for k in itertools.product(range(-(half - 1), half), repeat=grid.dimension):
+        first_nonzero = next((v for v in k if v != 0), 0)
+        if first_nonzero > 0:
+            v = theta.coeffs[grid.index_of(k)]
+            values += [v.real, v.imag]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("grid", [GridSpec(2, 16), GridSpec(3, 12)], ids=["2d", "3d"])
+    def test_payload_matches_loop_reference(self, tmp_path, grid):
+        theta = random_band_field(grid, 1, grid.modes_per_axis / 2, 1.0, 5)
+        state = SimulationState(t=0.75, theta=theta, step_count=3)
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(state, self._config(), path)
+        assert path.read_bytes()[_HEADER.size:] == loop_reference_payload(theta)
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(loaded.theta.coeffs, theta.coeffs)
+
     def _state(self, seed=0):
         grid = GridSpec(2, 16)
         theta = random_band_field(grid, 1, 6, 1.2, seed)
@@ -226,6 +250,17 @@ class TestMainDispatch:
     def test_config_error_exit_code(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL + "solver.bogus = 1\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        ["solver.dt = fast", "diag.observe_every = 0", "diag.observe_every = 2.5"],
+    )
+    def test_malformed_value_one_line_exit_one(self, tmp_path, capsys, line):
+        cfg = self._write(tmp_path, SMALL + line + "\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1

@@ -24,7 +24,7 @@ from activescalar import (
     sobolev_norm,
     step,
 )
-from activescalar.errors import ObserverError
+from activescalar.errors import ContractViolationError, ObserverError
 from activescalar.stepping import DT_MAX, CFL_FLOOR
 
 SQG = MultiplierSpec(kind="sqg")
@@ -291,3 +291,70 @@ class TestExactLinearReference:
         )
         err = np.max(np.abs(via_run.theta.coeffs - oracle.theta.coeffs))
         assert err < 1e-14
+
+
+class TestSpectralCore:
+    @pytest.mark.parametrize(
+        "kmax, fields", [(4, 2 * (2 * 3 + 1)), (5, 2 * (2 * 3 + 1) + 3)], ids=["band", "out"]
+    )
+    def test_etdrk2_3d_step_transform_count(self, monkeypatch, kmax, fields):
+        # band-limited theta (|k_j| <= N/3 = 4): the CFL guard reuses the
+        # stage-1 drift, so the step transforms 2(2d+1) real fields; with
+        # energy outside the band it transforms the full drift too
+        import numpy.fft
+        import scipy.fft
+
+        grid = GridSpec(3, 12)
+        mg = MultiplierSpec(kind="mg", nu=0.5)
+        table = build_symbol_table(mg, grid)
+        theta = random_band_field(grid, 1, kmax, 1.0, 21, zero_k3_plane=True)
+        S = random_band_field(grid, 1, 2, 0.5, 22, zero_k3_plane=True)
+        cfg = SolverConfig(kappa=0.1, gamma=2.0, drift=mg, t_end=1.0, dt=0.01)
+        counts = {"real": 0, "complex": 0}
+
+        def counting(fn, real_side):
+            def wrapped(x, *args, **kwargs):
+                out = fn(x, *args, **kwargs)
+                if real_side is None:
+                    counts["complex"] += 1
+                else:
+                    real = np.asarray(x) if real_side == "input" else out
+                    counts["real"] += real.size // grid.modes_per_axis**grid.dimension
+                return out
+
+            return wrapped
+
+        for mod in (numpy.fft, scipy.fft):
+            for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+                         "rfft", "irfft", "rfft2", "irfft2"):
+                monkeypatch.setattr(mod, name, counting(getattr(mod, name), None))
+        monkeypatch.setattr(scipy.fft, "rfftn", counting(scipy.fft.rfftn, "input"))
+        monkeypatch.setattr(scipy.fft, "irfftn", counting(scipy.fft.irfftn, "output"))
+        step(SimulationState(t=0.0, theta=theta), cfg, S, table)
+        assert counts == {"real": fields, "complex": 0}
+
+    def test_divergent_lenient_table_rejected_before_first_step(self, tmp_path):
+        from activescalar import load_custom_symbol_file
+
+        path = tmp_path / "bad.txt"
+        path.write_text("1 0 1.0 0.0 0.0 0.0\n-1 0 1.0 0.0 0.0 0.0\n")
+        grid = GridSpec(2, 16)
+        with pytest.warns(UserWarning):
+            table = load_custom_symbol_file(path, 2, grid, strict=False)
+        cfg = SolverConfig(kappa=0.1, gamma=1.0, drift=table.spec, t_end=0.1, dt=0.05)
+        seen = []
+        with pytest.raises(ContractViolationError):
+            run(cfg, single_mode_field(grid, (0, 1)), table=table, observers=(seen.append,))
+        assert seen == []
+
+    def test_linear_factor_cache_bounded_under_auto_dt(self):
+        from activescalar.stepping import LINEAR_FACTOR_CACHE_SIZE, _linear_factors
+
+        grid = GridSpec(2, 16)
+        theta0 = random_band_field(grid, 1, 5, 4.0, 23)
+        cfg = SolverConfig(kappa=0.2, gamma=1.0, drift=SQG, t_end=4.0)
+        out = run(cfg, theta0)
+        assert out.step_count > 10 * LINEAR_FACTOR_CACHE_SIZE  # many dt recomputes
+        assert _linear_factors.cache_info().currsize <= LINEAR_FACTOR_CACHE_SIZE
+        factors = _linear_factors(grid, 0.05, 1.0, 0.01, "etdrk2")
+        assert not any(f.flags.writeable for f in factors)
