@@ -8,8 +8,8 @@ lexicographic wavevector order.  All files are written atomically
 (temp file + rename) and every run directory carries a manifest recording
 the configuration echo and content hashes of the inputs.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical blow-up,
-3 property-violation flags raised by an audit.
+Exit codes: 0 success, 1 configuration error or another refused input,
+2 numerical blow-up, 3 property-violation flags raised by an audit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticRecord, analyticity_radius_estimate, record
-from .errors import BlowUpError, CheckpointError, ConfigError, SweepAbortedError
+from .errors import ActiveScalarError, BlowUpError, CheckpointError, ConfigError, SweepAbortedError
 from .experiments import (
     SweepPlan,
     attractor_sample,
@@ -46,7 +46,7 @@ from .grid import (
     random_band_field,
     single_mode_field,
 )
-from .multipliers import MultiplierSpec, load_custom_symbol_file, verify_assumptions
+from .multipliers import MultiplierSpec, SymbolTable, load_custom_symbol_file, verify_assumptions
 from .stepping import SimulationState, SolverConfig, run
 from .tangent import lyapunov_run
 
@@ -153,6 +153,15 @@ def _get_int(kv: dict, key: str, default=None) -> int | None:
         raise ConfigError(f"{key}: not an integer: {kv[key]!r}") from exc
 
 
+def _get_list(kv: dict, key: str, conv=float, default=None) -> list | None:
+    if key not in kv:
+        return default
+    try:
+        return [conv(p) for p in kv[key].split()]
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a list of {conv.__name__}s: {kv[key]!r}") from exc
+
+
 def _get_bool(kv: dict, key: str, default: bool) -> bool:
     if key not in kv:
         return default
@@ -175,10 +184,14 @@ def _parse_mode_list(spec: str, dimension: int) -> dict[tuple[int, ...], complex
             raise ConfigError(
                 f"mode entry {chunk!r}: expected {dimension} integers + re + im"
             )
-        k = tuple(int(p) for p in parts[:dimension])
+        try:
+            k = tuple(int(p) for p in parts[:dimension])
+            value = complex(float(parts[-2]), float(parts[-1]))
+        except ValueError as exc:
+            raise ConfigError(f"mode entry {chunk!r}: not a number") from exc
         if all(v == 0 for v in k):
             raise ConfigError("forcing/init modes must have zero mean: k = 0 listed")
-        modes[k] = complex(float(parts[-2]), float(parts[-1]))
+        modes[k] = value
     if not modes:
         raise ConfigError("empty mode list")
     return modes
@@ -196,14 +209,13 @@ def _build_generated_field(
     if kind == "none":
         return None
     if kind == "single_mode":
-        kstr = kv.get(f"{prefix}.k")
-        if kstr is None:
+        k = _get_list(kv, f"{prefix}.k", int)
+        if k is None:
             raise ConfigError(f"{prefix}.k is required for single_mode")
-        k = tuple(int(p) for p in kstr.split())
         if len(k) != grid.dimension:
             raise ConfigError(f"{prefix}.k: expected {grid.dimension} integers")
         amp = _get_float(kv, f"{prefix}.amplitude", 1.0)
-        f = single_mode_field(grid, k, amp)
+        f = single_mode_field(grid, tuple(k), amp)
     elif kind == "random_band":
         kmin = _get_float(kv, f"{prefix}.kmin", 1.0)
         kmax = _get_float(kv, f"{prefix}.kmax", max(2.0, grid.modes_per_axis / 6.0))
@@ -250,11 +262,13 @@ class ParsedRun:
     forcing: SpectralField
     raw: dict[str, str]
     init_kind: str
+    table: SymbolTable | None = None  # the loaded custom table, tabulated once
 
     def extras_float_list(self, key: str) -> list[float]:
-        if key not in self.raw:
+        values = _get_list(self.raw, key)
+        if values is None:
             raise ConfigError(f"missing required key {key}")
-        return [float(p) for p in self.raw[key].split()]
+        return values
 
 
 def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
@@ -294,6 +308,7 @@ def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
         table = load_custom_symbol_file(path, dimension, grid, strict=strict)
         drift = table.spec
     else:
+        table = None
         drift = MultiplierSpec(kind=kind, nu=nu)
         if drift.dimension != dimension:
             raise ConfigError(
@@ -355,6 +370,7 @@ def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
         forcing=forcing,
         raw=kv,
         init_kind=init_kind,
+        table=table,
     )
 
 
@@ -429,7 +445,10 @@ class CheckpointMeta:
 
 def load_checkpoint(path) -> tuple[SimulationState, CheckpointMeta]:
     """Read an "ASCL1" snapshot back into a simulation state."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     if len(data) < _HEADER.size:
         raise CheckpointError(
             f"truncated checkpoint: {len(data)} bytes, header needs {_HEADER.size}"
@@ -532,7 +551,7 @@ def _diag_rows(records: list[DiagnosticRecord], hs: Sequence[float]):
 
 
 def _cmd_run(parsed: ParsedRun, out: Path, args) -> int:
-    hs = [float(p) for p in parsed.raw.get("diag.hs", "1").split()]
+    hs = _get_list(parsed.raw, "diag.hs", default=[1.0])
     every = _get_int(parsed.raw, "diag.observe_every", 1)
     records: list[DiagnosticRecord] = []
 
@@ -547,6 +566,7 @@ def _cmd_run(parsed: ParsedRun, out: Path, args) -> int:
         parsed.config,
         parsed.theta0,
         parsed.forcing,
+        table=parsed.table,
         observers=(observer,),
         observe_every=every,
     )
@@ -559,7 +579,7 @@ def _cmd_run(parsed: ParsedRun, out: Path, args) -> int:
 
 def _cmd_audit(parsed: ParsedRun, out: Path, args) -> int:
     spec = parsed.config.drift
-    probes = [float(p) for p in parsed.raw.get("sweep.nus", "").split()] or [
+    probes = _get_list(parsed.raw, "sweep.nus", default=[]) or [
         getattr(spec, "nu", 0.0)
     ]
     report = verify_assumptions(spec, parsed.grid, probes if spec.kind == "mg" else None)
@@ -619,9 +639,9 @@ def _cmd_sweep_kappa(parsed: ParsedRun, out: Path, args) -> int:
 
 def _cmd_sweep_nu(parsed: ParsedRun, out: Path, args) -> int:
     nus = parsed.extras_float_list("sweep.nus")
-    transient = float(parsed.raw.get("sweep.transient", "10"))
-    cadence = float(parsed.raw.get("sweep.cadence", "0.5"))
-    count = int(parsed.raw.get("sweep.count", "20"))
+    transient = _get_float(parsed.raw, "sweep.transient", 10.0)
+    cadence = _get_float(parsed.raw, "sweep.cadence", 0.5)
+    count = _get_int(parsed.raw, "sweep.count", 20)
     base = parsed.config
     if base.drift.kind != "mg":
         raise ConfigError("sweep-nu requires the mg drift family")
@@ -652,9 +672,9 @@ def _cmd_sweep_nu(parsed: ParsedRun, out: Path, args) -> int:
 
 
 def _cmd_lyapunov(parsed: ParsedRun, out: Path, args) -> int:
-    n = int(parsed.raw.get("lyapunov.n", "4"))
-    interval = float(parsed.raw.get("lyapunov.renorm_interval", "0.5"))
-    total = float(parsed.raw.get("lyapunov.total_time", "50"))
+    n = _get_int(parsed.raw, "lyapunov.n", 4)
+    interval = _get_float(parsed.raw, "lyapunov.renorm_interval", 0.5)
+    total = _get_float(parsed.raw, "lyapunov.total_time", 50.0)
     inner = parsed.raw.get("lyapunov.inner", "h1")
     result = lyapunov_run(
         parsed.config,
@@ -663,6 +683,7 @@ def _cmd_lyapunov(parsed: ParsedRun, out: Path, args) -> int:
         n=n,
         renorm_interval=interval,
         total_time=total,
+        table=parsed.table,
         seed=args.seed,
         inner_product=inner,
     )
@@ -685,9 +706,9 @@ def _cmd_lyapunov(parsed: ParsedRun, out: Path, args) -> int:
 
 
 def _cmd_gevrey_track(parsed: ParsedRun, out: Path, args) -> int:
-    r = float(parsed.raw.get("gevrey.r", "0"))
-    s = float(parsed.raw.get("gevrey.s", "1"))
-    frac = float(parsed.raw.get("gevrey.tau_fraction", "0.5"))
+    r = _get_float(parsed.raw, "gevrey.r", 0.0)
+    s = _get_float(parsed.raw, "gevrey.s", 1.0)
+    frac = _get_float(parsed.raw, "gevrey.tau_fraction", 0.5)
     tau0 = analyticity_radius_estimate(parsed.theta0).tau_hat
     rows = gevrey_radius_track(
         parsed.config,
@@ -754,6 +775,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"blow-up during sweep: {exc.cause}", file=sys.stderr)
             return 2
         raise
+    except ActiveScalarError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

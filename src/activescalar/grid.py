@@ -511,10 +511,12 @@ def _dealias_selector(grid: GridSpec, rule: str) -> np.ndarray:
 def _flux_divergence(grid: GridSpec, flux: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """mask * (i k . F_hat), F_hat the half spectra of the d physical fluxes.
 
-    The advection kernel behind ``advect`` and the solver's stage
+    The flux components lie on axis -d-1, so leading axes batch stacks of
+    fluxes.  The advection kernel behind ``advect`` and the solver's stage
     right-hand sides; it does not check the drift for divergence-freeness.
     """
     fh = scipy.fft.rfftn(flux, axes=grid.axes, norm="forward")
+    fh = np.moveaxis(fh, -grid.dimension - 1, 0)
     acc = grid.half_ik[0] * fh[0]
     for ik, comp in zip(grid.half_ik[1:], fh[1:]):
         acc += ik * comp

@@ -270,18 +270,23 @@ def verify_assumptions(
             raise ValueError("mg audit needs a non-empty nu probe list")
         if any(nu < 0 for nu in nu_probe):
             raise ValueError("nu probes must be >= 0")
-        specs = [(nu, spec.with_nu(nu)) for nu in nu_probe]
+        tables = [(nu, build_symbol_table(spec.with_nu(nu), grid)) for nu in nu_probe]
     else:
-        specs = [(spec.nu, spec)]
+        tables = [(spec.nu, build_symbol_table(spec, grid))]
+    return _assumption_report(spec, grid, tables)
 
+
+def _assumption_report(
+    spec: MultiplierSpec, grid: GridSpec, tables: list[tuple[float, SymbolTable]]
+) -> AssumptionReport:
+    """``verify_assumptions`` over already tabulated (nu, table) pairs."""
     div_max = 0.0
     c2_hat: dict[float, float] = {}
     c0_hat = 0.0
     flags: list[str] = []
     k_abs = grid.k_abs
     origin = (0,) * grid.dimension
-    for nu, s in specs:
-        table = build_symbol_table(s, grid)
+    for nu, table in tables:
         ratio = table.divergence_max
         div_max = max(div_max, ratio)
         if ratio > DIV_AUDIT_RTOL:
@@ -289,7 +294,7 @@ def verify_assumptions(
         mag = table.magnitude()
         if mag[origin] != 0.0:
             flags.append(f"A4: nonzero symbol at k=0 for nu={nu}")
-        if s.kind == "mg":
+        if spec.kind == "mg":
             k3 = grid.wavenumbers[-1]
             plane = np.broadcast_to(k3 == 0, grid.shape)
             if float(np.max(mag[plane])) != 0.0:
@@ -304,7 +309,7 @@ def verify_assumptions(
             c0_hat = max(c0_hat, float(np.max(order1)))
 
     lipschitz_hat = 0.0
-    positive = sorted(nu for nu, _ in specs if nu > 0)
+    positive = sorted(nu for nu, _ in tables if nu > 0)
     for lo, hi in zip(positive, positive[1:]):
         lipschitz_hat = max(
             lipschitz_hat,
@@ -374,10 +379,15 @@ def estimated_symbol_order(table: SymbolTable) -> float:
 
 def symbol_is_bounded(spec: MultiplierSpec, grid: GridSpec) -> bool:
     """Bounded-symbol classification; lattice heuristic for custom laws."""
-    known = spec.bounded_symbol
+    return table_is_bounded(build_symbol_table(spec, grid))
+
+
+def table_is_bounded(table: SymbolTable) -> bool:
+    """``symbol_is_bounded`` of an already tabulated law."""
+    known = table.spec.bounded_symbol
     if known is not None:
         return known
-    return estimated_symbol_order(build_symbol_table(spec, grid)) <= 0.25
+    return estimated_symbol_order(table) <= 0.25
 
 
 def load_custom_symbol_file(
@@ -415,7 +425,7 @@ def load_custom_symbol_file(
 
     spec = MultiplierSpec(kind="custom", dimension=dimension, symbol_fn=fn, label=str(path))
     table = build_symbol_table(spec, grid)
-    report = verify_assumptions(spec, grid)
+    report = _assumption_report(spec, grid, [(spec.nu, table)])
     if report.flags:
         msg = f"custom symbol table {path} failed audits: {report.flags}"
         if strict:

@@ -20,6 +20,10 @@ reads the physical drift of the first stage, which equals the full drift
 whenever theta has no energy outside the dealias band.  The diagonal linear
 factors are cached per (grid, kappa, gamma, h, integrator) in a bounded
 LRU cache.
+
+The steppers act on a stack [theta, psi_1, .., psi_n] of half spectra:
+``step`` advances the base row alone, ``tangent.tangent_step`` adds tangent
+rows, whose stage right-hand side is the derivative of the base row's.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .grid import (
     linf_norm,
     sobolev_norm,
 )
-from .multipliers import MultiplierSpec, SymbolTable, apply_drift, build_symbol_table, symbol_is_bounded
+from .multipliers import MultiplierSpec, SymbolTable, apply_drift, build_symbol_table, table_is_bounded
 
 __all__ = [
     "SolverConfig",
@@ -135,6 +139,11 @@ def _cfl_bound(grid: GridSpec, umax: float, cfl_safety: float) -> float:
     return cfl_safety * grid.dx / max(umax, CFL_FLOOR)
 
 
+def _auto_dt(table: SymbolTable, theta: SpectralField, cfl_safety: float) -> float:
+    """Automatic step size: the CFL bound of theta's drift, capped at DT_MAX."""
+    return min(DT_MAX, cfl_dt(apply_drift(table, theta), theta.grid, cfl_safety))
+
+
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1)/z with the z -> 0 limit."""
     out = np.ones_like(z)
@@ -179,11 +188,17 @@ def _linear_factors(
 def _make_nonlinear(
     config: SolverConfig, grid: GridSpec, S: SpectralField | None, table: SymbolTable
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """N(theta) = S - u[theta].grad(theta) on half spectra of the grid.
+    """Stage right-hand side of a stack X = [theta, psi_1, .., psi_n] of half spectra.
 
-    The returned function also hands back the physical (dealiased) drift of
-    the stage, for the CFL guard.  The table must carry its divergence
-    certificate: the advection kernel does not check the drift.
+    X has shape (1+n,) + grid.half_shape.  Row 0 of the result is
+    N(theta) = S - div(u[theta] theta); row i is its derivative
+    DN(theta)[psi_i] = -div(u[theta] psi_i + u[psi_i] theta), so one stepper
+    run on X advances the base and the exact discrete tangents together.
+    All (1+n)(d+1) masked fields and drifts go through one inverse transform
+    and all (1+n)d fluxes through one forward transform.  The function also
+    hands back the physical (dealiased) drift of row 0, for the CFL guard.
+    The table must carry its divergence certificate: the advection kernel
+    does not check the drift.
     """
     if table.grid != grid:
         raise GridMismatchError("symbol table and field grids differ")
@@ -191,15 +206,22 @@ def _make_nonlinear(
     S_half = grid.half(_forcing_field(S, grid).coeffs)
     mask = _dealias_selector(grid, config.dealias)
     values = table.half_values
-    shape = (grid.dimension + 1,) + grid.half_shape
+    d = grid.dimension
 
-    def rhs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        spec = np.empty(shape, dtype=np.complex128)
-        np.multiply(c, mask, out=spec[0])
-        np.multiply(values, spec[0], out=spec[1:])
+    def rhs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        spec = np.empty((len(X), d + 1) + grid.half_shape, dtype=np.complex128)
+        np.multiply(X, mask, out=spec[:, 0])
+        np.multiply(values, spec[:, :1], out=spec[:, 1:])
         phys = _half_to_physical(grid, spec)
-        u = phys[1:]
-        return S_half - _flux_divergence(grid, u * phys[0], mask), u
+        theta, u = phys[0, 0], phys[0, 1:]
+        flux = np.empty((len(X), d) + grid.shape)
+        np.multiply(u, theta, out=flux[0])
+        np.multiply(u, phys[1:, :1], out=flux[1:])
+        flux[1:] += phys[1:, 1:] * theta
+        out = _flux_divergence(grid, flux, mask)
+        np.subtract(S_half, out[0], out=out[0])
+        np.negative(out[1:], out=out[1:])
+        return out, u
 
     return rhs
 
@@ -219,9 +241,19 @@ def _ifrk4_step(c, h, factors, rhs, k1) -> np.ndarray:
     return e_full * c + (h / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-# (c, h, factors, rhs, n0) -> next half spectrum; n0 = rhs(c) is passed in
-# because step() has already evaluated it for the CFL guard.
+# (X, h, factors, rhs, n0) -> next stack of half spectra; n0 = rhs(X) is
+# passed in because step() has already evaluated it for the CFL guard.
 _STEPPERS = {"etdrk2": _etdrk2_step, "ifrk4": _ifrk4_step}
+
+
+def _advance(X, n0, rhs, grid: GridSpec, config: SolverConfig, h: float) -> np.ndarray:
+    """One config.integrator step of size h of the stack X; n0 = rhs(X)[0].
+
+    Both schemes are stage-wise linear combinations with diagonal factors,
+    so the tangent rows advance by the exact derivative of the base row's step.
+    """
+    factors = _linear_factors(grid, config.kappa, config.gamma, h, config.integrator)
+    return _STEPPERS[config.integrator](X, h, factors, lambda x: rhs(x)[0], n0)
 
 
 def _nonfinite_shell(grid: GridSpec, coeffs: np.ndarray) -> int:
@@ -254,7 +286,7 @@ def step(
     rhs = _make_nonlinear(config, grid, S, table)
 
     c = grid.half(state.theta.coeffs)
-    n0, u = rhs(c)
+    n0, u = rhs(c[None])
     if np.any(c[~_dealias_selector(grid, config.dealias)]):
         # the first stage saw a truncated drift; measure the full one
         bound = cfl_dt(apply_drift(table, state.theta), grid, config.cfl_safety)
@@ -266,8 +298,7 @@ def step(
             f"{CFL_VIOLATION_FACTOR:.0f}x at t={state.t:.6g}"
         )
 
-    factors = _linear_factors(grid, config.kappa, config.gamma, h, config.integrator)
-    new = _STEPPERS[config.integrator](c, h, factors, lambda x: rhs(x)[0], n0)
+    new = _advance(c[None], n0, rhs, grid, config, h)[0]
     if not np.all(np.isfinite(new.view(np.float64))):
         raise BlowUpError(t=state.t + h, shell=_nonfinite_shell(grid, new))
 
@@ -322,7 +353,7 @@ def run(
     if table is None:
         table = build_symbol_table(config.drift, grid)
     table.require_divergence_free()
-    if config.kappa == 0.0 and not symbol_is_bounded(config.drift, grid):
+    if config.kappa == 0.0 and not table_is_bounded(table):
         warnings.warn(
             "kappa=0 with a singular (unbounded-symbol) drift is only locally "
             "well-posed for analytic data; expect a finite horizon",
@@ -344,15 +375,11 @@ def run(
 
     h1_ref = max(sobolev_norm(theta0, 1.0), sobolev_norm(S_field, 1.0), 1e-8)
 
-    def auto_dt(s: SimulationState) -> float:
-        u = apply_drift(table, s.theta)
-        return min(DT_MAX, cfl_dt(u, grid, config.cfl_safety))
-
-    dt = config.dt if config.dt is not None else auto_dt(state)
+    dt = config.dt if config.dt is not None else _auto_dt(table, theta0, config.cfl_safety)
     eps = 1e-12 * max(config.t_end, 1.0)
     while state.t < config.t_end - eps:
         if config.dt is None and state.step_count > 0 and state.step_count % CFL_RECOMPUTE_EVERY == 0:
-            dt = auto_dt(state)
+            dt = _auto_dt(table, state.theta, config.cfl_safety)
         h = min(dt, config.t_end - state.t)
         state = step(state, config, S, table, h=h)
         if sobolev_norm(state.theta, 1.0) > BLOWUP_GROWTH_FACTOR * h1_ref:

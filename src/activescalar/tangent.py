@@ -1,10 +1,13 @@
 """Tangent propagation, Lyapunov exponents and volume-decay indices.
 
-Tangent perturbations evolve under the linearization of the *discrete*
-flow map: every Runge-Kutta stage of a tangent reuses the base stage field
-produced by the same integrator, so the tangent map is the exact Frechet
-derivative of one solver step.  Finite-difference consistency therefore
-tests the discrete dynamics, not just the underlying ODE.
+Tangent perturbations are extra rows of the one stack the solver steps:
+``tangent_step`` advances [theta, psi_1, .., psi_n] with the same stepper
+and stage right-hand side as ``step``, whose tangent rows are the
+derivative DN(theta)[psi_i] at the base stage field.  Since both
+integrators are stage-wise linear combinations with diagonal factors, each
+tangent is the exact Frechet derivative of one solver step, and
+finite-difference consistency tests the discrete dynamics, not just the
+underlying ODE.
 
 Exponents come from periodic modified Gram-Schmidt re-orthonormalization:
 the log normalizers accumulate per direction and divide by elapsed time.
@@ -19,25 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTangentError, GridMismatchError
-from .grid import (
-    GridSpec,
-    SpectralField,
-    _cleaned,
-    _dealias_selector,
-    _flux_divergence,
-    _from_half,
-    _half_to_physical,
-)
-from .multipliers import SymbolTable, apply_drift, build_symbol_table
+from .errors import ConfigError, DegenerateTangentError
+from .grid import GridSpec, SpectralField, _cleaned, _from_half
+from .multipliers import SymbolTable, build_symbol_table
 from .stepping import (
-    DT_MAX,
     SimulationState,
     SolverConfig,
+    _advance,
+    _auto_dt,
     _forcing_field,
-    _linear_factors,
     _make_nonlinear,
-    cfl_dt,
     step,
 )
 
@@ -103,39 +97,10 @@ def linearized_rhs(
     if theta.grid != psi.grid:
         raise ConfigError("linearized_rhs needs theta and psi on one grid")
     grid = theta.grid
-    if table.grid != grid:
-        raise GridMismatchError("symbol table and field grids differ")
+    X = grid.half(np.stack([theta.coeffs, psi.coeffs]))
+    dn = _make_nonlinear(config, grid, None, table)(X)[0][1]
     lam = -config.kappa * grid.half_k_abs**config.gamma
-    psi_c = grid.half(psi.coeffs)
-    out = lam * psi_c + _tangent_rhs_factory(config, table)(grid.half(theta.coeffs), psi_c)
-    return SpectralField._wrap(grid, _from_half(grid, out))
-
-
-def _tangent_rhs_factory(config: SolverConfig, table: SymbolTable):
-    """DN(theta)[psi] for N(theta) = S - u[theta].grad theta (S drops out).
-
-    Acts on half spectra.  The two transport terms, both in divergence
-    form, share one forward transform of the summed flux
-    u[theta] psi + u[psi] theta: 2(d+1) inverse and d forward transforms.
-    """
-    table.require_divergence_free()
-    grid = table.grid
-    d = grid.dimension
-    mask = _dealias_selector(grid, config.dealias)
-    values = table.half_values
-    shape = (2 * (d + 1),) + grid.half_shape  # theta, psi, u[theta], u[psi]
-
-    def dn(theta_coeffs: np.ndarray, psi_coeffs: np.ndarray) -> np.ndarray:
-        spec = np.empty(shape, dtype=np.complex128)
-        np.multiply(theta_coeffs, mask, out=spec[0])
-        np.multiply(psi_coeffs, mask, out=spec[1])
-        np.multiply(values, spec[0], out=spec[2 : d + 2])
-        np.multiply(values, spec[1], out=spec[d + 2 :])
-        phys = _half_to_physical(grid, spec)
-        flux = phys[2 : d + 2] * phys[1] + phys[d + 2 :] * phys[0]
-        return -_flux_divergence(grid, flux, mask)
-
-    return dn
+    return SpectralField._wrap(grid, _from_half(grid, lam * X[1] + dn))
 
 
 def tangent_step(
@@ -145,62 +110,20 @@ def tangent_step(
     table: SymbolTable,
     h: float | None = None,
 ) -> TangentBundle:
-    """One step of base and tangents with shared stage fields."""
+    """One step of the stack [theta, psi_1, .., psi_n] with shared stage fields."""
     if h is None:
         h = config.dt
     if h is None or h <= 0:
         raise ConfigError("tangent_step needs a positive time step")
     grid = bundle.base.theta.grid
     rhs = _make_nonlinear(config, grid, S, table)
-    dn = _tangent_rhs_factory(config, table)
-    factors = _linear_factors(grid, config.kappa, config.gamma, h, config.integrator)
-
-    def nl(theta_coeffs: np.ndarray) -> np.ndarray:
-        return rhs(theta_coeffs)[0]
-
-    c = grid.half(bundle.base.theta.coeffs)
-    psis = [grid.half(p.coeffs) for p in bundle.tangents]
-
-    if config.integrator == "etdrk2":
-        e, hp1, hp2 = factors
-        n0 = nl(c)
-        mid = e * c + hp1 * n0
-        new_c = mid + hp2 * (nl(mid) - n0)
-        new_psis = []
-        for pc in psis:
-            l0 = dn(c, pc)
-            pmid = e * pc + hp1 * l0
-            new_psis.append(pmid + hp2 * (dn(mid, pmid) - l0))
-    else:  # ifrk4
-        e_half, e_full = factors
-        k1 = nl(c)
-        b2 = e_half * (c + 0.5 * h * k1)
-        k2 = nl(b2)
-        b3 = e_half * c + 0.5 * h * k2
-        k3 = nl(b3)
-        b4 = e_full * c + h * e_half * k3
-        k4 = nl(b4)
-        new_c = e_full * c + (h / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        new_psis = []
-        for pc in psis:
-            l1 = dn(c, pc)
-            p2s = e_half * (pc + 0.5 * h * l1)
-            l2 = dn(b2, p2s)
-            p3s = e_half * pc + 0.5 * h * l2
-            l3 = dn(b3, p3s)
-            p4s = e_full * pc + h * e_half * l3
-            l4 = dn(b4, p4s)
-            new_psis.append(
-                e_full * pc + (h / 6.0) * (e_full * l1 + 2.0 * e_half * (l2 + l3) + l4)
-            )
-
+    X = grid.half(np.stack([bundle.base.theta.coeffs] + [p.coeffs for p in bundle.tangents]))
+    new = _advance(X, rhs(X)[0], rhs, grid, config, h)
+    fields = [SpectralField._wrap(grid, _from_half(grid, row)) for row in new]
     base = SimulationState(
-        t=bundle.base.t + h,
-        theta=SpectralField._wrap(grid, _from_half(grid, new_c)),
-        step_count=bundle.base.step_count + 1,
+        t=bundle.base.t + h, theta=fields[0], step_count=bundle.base.step_count + 1
     )
-    tangents = tuple(SpectralField._wrap(grid, _from_half(grid, pc)) for pc in new_psis)
-    return TangentBundle(base=base, tangents=tangents, inner_product=bundle.inner_product)
+    return TangentBundle(base=base, tangents=tuple(fields[1:]), inner_product=bundle.inner_product)
 
 
 def reorthonormalize(bundle: TangentBundle) -> tuple[TangentBundle, np.ndarray]:
@@ -313,10 +236,7 @@ def lyapunov_run(
     if table is None:
         table = build_symbol_table(config.drift, grid)
     S_field = _forcing_field(S, grid)
-    dt = config.dt
-    if dt is None:
-        u0 = apply_drift(table, theta0)
-        dt = min(DT_MAX, cfl_dt(u0, grid, config.cfl_safety))
+    dt = config.dt if config.dt is not None else _auto_dt(table, theta0, config.cfl_safety)
     steps_per_renorm = max(1, int(round(renorm_interval / dt)))
     interval = steps_per_renorm * dt
     n_intervals = max(1, int(round(total_time / interval)))

@@ -3,6 +3,7 @@
 import itertools
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,20 @@ solver.t_end = 1
 """
 
 SMALL = MINIMAL.replace("grid.modes = 64", "grid.modes = 16")
+
+CUSTOM = """
+drift.kind = custom
+grid.dimension = 2
+grid.modes = 16
+drift.table = {tmp}/table.txt
+solver.gamma = 1
+solver.t_end = 0.1
+solver.dt = 0.05
+"""
+# symbol parallel to k: fails the A1 divergence audit
+DIVERGENT_TABLE = "1 0 1.0 0.0 0.0 0.0\n-1 0 1.0 0.0 0.0 0.0\n"
+# sqg symbol i(-k2, k1)/|k| on the first shell: passes every audit
+SQG_SHELL_TABLE = "1 0 0 0 0 1\n-1 0 0 0 0 -1\n0 1 0 -1 0 0\n0 -1 0 1 0 0\n"
 
 
 class TestParseConfig:
@@ -252,15 +267,62 @@ class TestMainDispatch:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize(
-        "line",
-        ["solver.dt = fast", "diag.observe_every = 0", "diag.observe_every = 2.5"],
+        "command, text",
+        [
+            pytest.param("run", SMALL + "solver.dt = fast", id="solver.dt = fast"),
+            pytest.param("run", SMALL + "diag.observe_every = 0", id="diag.observe_every = 0"),
+            pytest.param("run", SMALL + "diag.observe_every = 2.5", id="diag.observe_every = 2.5"),
+            pytest.param(
+                "run", CUSTOM + "solver.kappa = 0.1\ndrift.strict = true", id="strict table fails A1"
+            ),
+            pytest.param(
+                "run", CUSTOM + "solver.kappa = 0.1\ndrift.strict = false", id="lenient table fails A1"
+            ),
+            pytest.param("run", SMALL + "diag.hs = one", id="diag.hs = one"),
+            pytest.param("lyapunov", SMALL + "lyapunov.n = four", id="lyapunov.n = four"),
+            pytest.param(
+                "run",
+                SMALL + "init.kind = from_checkpoint\ninit.path = {tmp}/missing.ckpt",
+                id="missing checkpoint",
+            ),
+            pytest.param("run", SMALL + "solver.dt = 0.9", id="dt far above CFL"),
+            pytest.param(
+                "run", SMALL + "init.kind = single_mode\ninit.k = one 0", id="init.k = one 0"
+            ),
+            pytest.param(
+                "run", SMALL + "init.kind = modes\ninit.modes = 1 0 half 0", id="init.modes = 1 0 half 0"
+            ),
+            pytest.param("sweep-kappa", SMALL + "sweep.kappas = 0.1 x", id="sweep.kappas = 0.1 x"),
+        ],
     )
-    def test_malformed_value_one_line_exit_one(self, tmp_path, capsys, line):
-        cfg = self._write(tmp_path, SMALL + line + "\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    def test_malformed_value_one_line_exit_one(self, tmp_path, capsys, command, text):
+        (tmp_path / "table.txt").write_text(DIVERGENT_TABLE)
+        cfg = self._write(tmp_path, text.format(tmp=tmp_path) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the lenient table's audit warning
+            assert main([command, cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_custom_table_tabulated_once_per_run(self, tmp_path, monkeypatch):
+        # kappa = 0 also asks whether the custom symbol is bounded
+        import activescalar
+        from activescalar import experiments, multipliers, stepping, tangent
+
+        (tmp_path / "table.txt").write_text(SQG_SHELL_TABLE)
+        cfg = self._write(tmp_path, CUSTOM.format(tmp=tmp_path) + "solver.kappa = 0\n")
+        calls = []
+        build = multipliers.build_symbol_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for mod in (activescalar, experiments, multipliers, stepping, tangent):
+            monkeypatch.setattr(mod, "build_symbol_table", counting)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1

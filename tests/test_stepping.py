@@ -297,41 +297,19 @@ class TestSpectralCore:
     @pytest.mark.parametrize(
         "kmax, fields", [(4, 2 * (2 * 3 + 1)), (5, 2 * (2 * 3 + 1) + 3)], ids=["band", "out"]
     )
-    def test_etdrk2_3d_step_transform_count(self, monkeypatch, kmax, fields):
+    def test_etdrk2_3d_step_transform_count(self, fft_counter, kmax, fields):
         # band-limited theta (|k_j| <= N/3 = 4): the CFL guard reuses the
         # stage-1 drift, so the step transforms 2(2d+1) real fields; with
         # energy outside the band it transforms the full drift too
-        import numpy.fft
-        import scipy.fft
-
         grid = GridSpec(3, 12)
         mg = MultiplierSpec(kind="mg", nu=0.5)
         table = build_symbol_table(mg, grid)
         theta = random_band_field(grid, 1, kmax, 1.0, 21, zero_k3_plane=True)
         S = random_band_field(grid, 1, 2, 0.5, 22, zero_k3_plane=True)
         cfg = SolverConfig(kappa=0.1, gamma=2.0, drift=mg, t_end=1.0, dt=0.01)
-        counts = {"real": 0, "complex": 0}
-
-        def counting(fn, real_side):
-            def wrapped(x, *args, **kwargs):
-                out = fn(x, *args, **kwargs)
-                if real_side is None:
-                    counts["complex"] += 1
-                else:
-                    real = np.asarray(x) if real_side == "input" else out
-                    counts["real"] += real.size // grid.modes_per_axis**grid.dimension
-                return out
-
-            return wrapped
-
-        for mod in (numpy.fft, scipy.fft):
-            for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-                         "rfft", "irfft", "rfft2", "irfft2"):
-                monkeypatch.setattr(mod, name, counting(getattr(mod, name), None))
-        monkeypatch.setattr(scipy.fft, "rfftn", counting(scipy.fft.rfftn, "input"))
-        monkeypatch.setattr(scipy.fft, "irfftn", counting(scipy.fft.irfftn, "output"))
+        counts = fft_counter(grid)
         step(SimulationState(t=0.0, theta=theta), cfg, S, table)
-        assert counts == {"real": fields, "complex": 0}
+        assert (counts["real"], counts["complex"]) == (fields, 0)
 
     def test_divergent_lenient_table_rejected_before_first_step(self, tmp_path):
         from activescalar import load_custom_symbol_file

@@ -81,8 +81,18 @@ class TestTangentStep:
         got = out.tangents[0].coeffs[grid.index_of((1, 0))]
         assert abs(got - 0.5 * np.exp(-0.03)) < 1e-14
 
-    @pytest.mark.parametrize("integrator", ["etdrk2", "ifrk4"])
-    def test_no_tangents_reduces_to_plain_step(self, integrator):
+    @pytest.mark.parametrize(
+        "integrator, n",
+        [
+            pytest.param("etdrk2", 0, id="etdrk2"),
+            pytest.param("ifrk4", 0, id="ifrk4"),
+            pytest.param("etdrk2", 3, id="etdrk2-n3"),
+            pytest.param("ifrk4", 3, id="ifrk4-n3"),
+        ],
+    )
+    def test_no_tangents_reduces_to_plain_step(self, integrator, n):
+        # the base row of the stepped stack is step() itself, with or
+        # without tangent rows beside it
         from activescalar import step
 
         grid = GridSpec(2, 16)
@@ -91,11 +101,43 @@ class TestTangentStep:
         theta = random_band_field(grid, 1, 5, 1.0, 3)
         S = random_band_field(grid, 1, 3, 0.5, 4)
         bundle = TangentBundle(
-            base=SimulationState(t=0.0, theta=theta), tangents=()
+            base=SimulationState(t=0.0, theta=theta),
+            tangents=random_tangent_set(grid, n, 5) if n else (),
         )
         via_bundle = tangent_step(bundle, cfg, S, table)
         via_step = step(SimulationState(t=0.0, theta=theta), cfg, S, table)
         assert np.array_equal(via_bundle.base.theta.coeffs, via_step.theta.coeffs)
+
+    @pytest.mark.parametrize("integrator", ["etdrk2", "ifrk4"])
+    def test_tangents_independent_of_batch(self, integrator):
+        grid = GridSpec(2, 16)
+        cfg = sqg_cfg(integrator=integrator)
+        table = build_symbol_table(SQG, grid)
+        theta = random_band_field(grid, 1, 5, 1.0, 3)
+        S = random_band_field(grid, 1, 3, 0.5, 4)
+        base = SimulationState(t=0.0, theta=theta)
+        tangents = random_tangent_set(grid, 3, 6)
+        together = tangent_step(TangentBundle(base=base, tangents=tangents), cfg, S, table)
+        for psi, got in zip(tangents, together.tangents):
+            alone = tangent_step(TangentBundle(base=base, tangents=(psi,)), cfg, S, table)
+            assert np.array_equal(got.coeffs, alone.tangents[0].coeffs)
+
+    def test_etdrk2_transform_count(self, fft_counter):
+        # per stage, theta and every tangent go through one inverse call
+        # (field + d drift components each) and one forward call (d fluxes
+        # each): 2 (n+1)(2d+1) real fields in 4 calls per step
+        grid = GridSpec(2, 16)
+        n, d = 3, grid.dimension
+        cfg = sqg_cfg()
+        table = build_symbol_table(SQG, grid)
+        bundle = TangentBundle(
+            base=SimulationState(t=0.0, theta=random_band_field(grid, 1, 5, 1.0, 3)),
+            tangents=random_tangent_set(grid, n, 5),
+        )
+        S = random_band_field(grid, 1, 3, 0.5, 4)
+        counts = fft_counter(grid)
+        tangent_step(bundle, cfg, S, table)
+        assert counts == {"calls": 4, "real": 2 * (n + 1) * (2 * d + 1), "complex": 0}
 
     def test_steady_state_rhs_direction_stays_zero(self):
         # at the single-mode fixed point the full right-hand side vanishes,
