@@ -48,7 +48,7 @@ from .grid import (
 )
 from .multipliers import MultiplierSpec, SymbolTable, load_custom_symbol_file, verify_assumptions
 from .stepping import SimulationState, SolverConfig, run
-from .tangent import lyapunov_run
+from .tangent import INNER_PRODUCTS, lyapunov_run
 
 __all__ = [
     "parse_config",
@@ -623,7 +623,7 @@ def _cmd_sweep_kappa(parsed: ParsedRun, out: Path, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    result = kappa_sweep(plan, max_workers=args.threads)
+    result = kappa_sweep(plan, max_workers=args.threads, table=parsed.table)
     write_csv(
         out / "sweep_kappa.csv",
         ["param", "t", "norm_name", "value"],
@@ -676,6 +676,17 @@ def _cmd_lyapunov(parsed: ParsedRun, out: Path, args) -> int:
     interval = _get_float(parsed.raw, "lyapunov.renorm_interval", 0.5)
     total = _get_float(parsed.raw, "lyapunov.total_time", 50.0)
     inner = parsed.raw.get("lyapunov.inner", "h1")
+    if n < 1:
+        raise ConfigError(f"lyapunov.n must be >= 1, got {n}")
+    if inner not in INNER_PRODUCTS:
+        raise ConfigError(f"lyapunov.inner must be one of {INNER_PRODUCTS}, got {inner!r}")
+    if interval <= 0:
+        raise ConfigError(f"lyapunov.renorm_interval must be positive, got {interval:g}")
+    if total < 2 * interval:
+        raise ConfigError(
+            f"lyapunov.total_time ({total:g}) must be at least twice "
+            f"lyapunov.renorm_interval ({interval:g})"
+        )
     result = lyapunov_run(
         parsed.config,
         parsed.theta0,
@@ -717,6 +728,7 @@ def _cmd_gevrey_track(parsed: ParsedRun, out: Path, args) -> int:
         r=r,
         s=s,
         tau_schedule=lambda t: frac * tau0,
+        table=parsed.table,
     )
     write_csv(out / "gevrey_track.csv", ["t", "tau_hat", "gevrey_norm"], rows)
     write_manifest(out / "manifest.json", parsed, extra={"tau0_hat": tau0})

@@ -28,7 +28,7 @@ from .grid import (
     linf_norm,
     sobolev_norm,
 )
-from .multipliers import build_symbol_table
+from .multipliers import SymbolTable, build_symbol_table
 from .stepping import SimulationState, SolverConfig, run
 
 __all__ = [
@@ -135,7 +135,11 @@ class KappaSweepResult:
 
 
 def _run_with_snapshots(
-    config: SolverConfig, theta0, S, times: Sequence[float]
+    config: SolverConfig,
+    theta0,
+    S,
+    times: Sequence[float],
+    table: SymbolTable | None = None,
 ) -> dict[float, SpectralField]:
     """Integrate once, capturing the state at each requested time."""
     wanted = sorted(times)
@@ -147,26 +151,31 @@ def _run_with_snapshots(
             if t not in snapshots and state.t >= t - eps:
                 snapshots[t] = state.theta
 
-    final = run(config, theta0, S, observers=(observer,))
+    final = run(config, theta0, S, table=table, observers=(observer,))
     for t in wanted:
         snapshots.setdefault(t, final.theta)
     return snapshots
 
 
-def kappa_sweep(plan: SweepPlan, max_workers: int = 1) -> KappaSweepResult:
+def kappa_sweep(
+    plan: SweepPlan, max_workers: int = 1, table: SymbolTable | None = None
+) -> KappaSweepResult:
     """Convergence study theta^kappa -> theta^0 at matched times.
 
-    The reference solution uses the ifrk4 integrator at dt/4.  Returns
-    errors per (kappa, time) and the least-squares order of the final-time
-    error in each requested norm.  A blow-up in any member aborts the sweep
-    with partial results attached to the exception.  Members may run on
-    max_workers threads; aggregation order is by parameter, so results are
-    identical for any thread count.
+    The reference solution uses the ifrk4 integrator at dt/4.  All members
+    share one symbol table: ``table`` when given, else one built once from
+    the plan's drift.  Returns errors per (kappa, time) and the
+    least-squares order of the final-time error in each requested norm.  A
+    blow-up in any member aborts the sweep with partial results attached to
+    the exception.  Members may run on max_workers threads; aggregation
+    order is by parameter, so results are identical for any thread count.
     """
     if plan.parameter != "kappa":
         raise ValueError("kappa_sweep needs a kappa-parameterized plan")
     kappas = [v for v in plan.values if v > 0]
     times = tuple(plan.observation_times) or (plan.base.t_end,)
+    if table is None:
+        table = build_symbol_table(plan.base.drift, plan.theta0.grid)
     labels = [norm_name(r) for r in plan.norms]
 
     digests = {
@@ -184,11 +193,11 @@ def kappa_sweep(plan: SweepPlan, max_workers: int = 1) -> KappaSweepResult:
 
     def member(kappa: float):
         return _run_with_snapshots(
-            plan.member_config(kappa), plan.theta0, plan.forcing, times
+            plan.member_config(kappa), plan.theta0, plan.forcing, times, table
         )
 
     try:
-        ref_snaps = _run_with_snapshots(ref_config, plan.theta0, plan.forcing, times)
+        ref_snaps = _run_with_snapshots(ref_config, plan.theta0, plan.forcing, times, table)
         if max_workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -227,12 +236,14 @@ def gevrey_radius_track(
     tau_schedule: Callable[[float], float] | None = None,
     observe_every: int = 1,
     fit_window: tuple[int, int] | None = None,
+    table: SymbolTable | None = None,
 ) -> list[tuple[float, float, float]]:
     """Track the analyticity-radius estimate along a run.
 
     Emits (t, tau_hat, gevrey norm at the prescribed tau(t)) rows; the run
     halts once tau_hat falls below twice the grid spacing, the resolvable
-    analyticity scale.  The initial estimate must be reliable.
+    analyticity scale.  The initial estimate must be reliable.  ``table``
+    is passed on to ``run``, which builds one from the drift when it is None.
     """
     n = theta0.grid.modes_per_axis
     first = analyticity_radius_estimate(theta0, fit_window)
@@ -255,7 +266,9 @@ def gevrey_radius_track(
             raise _Halt()
 
     try:
-        run(config, theta0, S, observers=(observer,), observe_every=observe_every)
+        run(
+            config, theta0, S, table=table, observers=(observer,), observe_every=observe_every
+        )
     except ActiveScalarError as exc:
         if not isinstance(exc.__cause__, _Halt):
             raise

@@ -1,7 +1,7 @@
 """Spectral representation of real, mean-zero scalar fields on [0, 2pi]^d.
 
-Public fields are stored as full complex Fourier coefficient lattices in
-numpy FFT layout under the convention
+Public fields expose full complex Fourier coefficient lattices (``coeffs``)
+in numpy FFT layout under the convention
 
     theta(x) = sum_k theta_hat(k) exp(i k . x),
 
@@ -21,13 +21,16 @@ Internally, transforms and time stepping work on the half spectrum of
 ``scipy.fft.rfftn`` (last axis k_d = 0..N/2, ``GridSpec.half_shape``): a
 half spectrum stands for the real field whose full lattice is its Hermitian
 extension, so realness holds in the storage and needs no re-projection.
-``_from_half`` is the one conversion back to the full layout; it zeroes the
-mean and the Nyquist rows and symmetrises the k_d = 0 plane, the only part
-of a half spectrum whose Hermitian pairing it holds itself.  One etdrk2 step
-of a d-dimensional field transforms 2(2d+1) real fields (14 in 3-D, half the
-cost of a complex transform each), in one batched inverse and one batched
-forward call per stage.  Transforms are looked up as ``scipy.fft.<name>`` at
-call time, with the default worker count.
+``_project_half`` zeroes the mean and the Nyquist rows and symmetrises the
+k_d = 0 plane, the only part of a half spectrum whose Hermitian pairing it
+holds itself.  Fields produced by the solver and the operators hold such a
+projected half spectrum (``SpectralField.half``); ``_from_half`` extends it
+to the full lattice only when a caller first reads ``coeffs``, and the
+lattice is kept from then on.  One etdrk2 step of a d-dimensional field
+transforms 2(2d+1) real fields (14 in 3-D, half the cost of a complex
+transform each), in one batched inverse and one batched forward call per
+stage.  Transforms are looked up as ``scipy.fft.<name>`` at call time, with
+the default worker count.
 
 The public ``advect`` checks its drift for divergence-freeness on every
 call.  The solver's stage right-hand sides call the unchecked kernels
@@ -38,7 +41,7 @@ certificate a ``SymbolTable`` takes once, when it is built
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -186,6 +189,18 @@ class GridSpec:
     def half_dealias_mask(self) -> np.ndarray:
         return self.half(self.dealias_mask)
 
+    @cached_property
+    def half_h1_weight(self) -> np.ndarray:
+        """|k|^2 times the lattice sites each half-spectrum site stands for.
+
+        That is 1 on the k_d = 0 and k_d = N/2 planes and 2 elsewhere, so
+        sum(w |h|^2) over a half spectrum h is the squared H^1 norm of its field.
+        """
+        w = 2.0 * self.half(self.k_squared)
+        w[..., 0] /= 2.0
+        w[..., -1] /= 2.0
+        return w
+
     @property
     def k_abs_max(self) -> float:
         """Largest |k| over retained (non-Nyquist) modes."""
@@ -204,10 +219,10 @@ class GridSpec:
         return tuple(int(kj) % n for kj in k)
 
 
-def _reflect(coeffs: np.ndarray, ndim: int | None = None) -> np.ndarray:
-    """Index map k -> -k in FFT layout, over the first ndim axes (default all)."""
+def _reflect(coeffs: np.ndarray, axes=None) -> np.ndarray:
+    """Index map k -> -k in FFT layout, over the given axes (default all)."""
     out = coeffs
-    for ax in range(coeffs.ndim if ndim is None else ndim):
+    for ax in range(coeffs.ndim) if axes is None else axes:
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
     return out
 
@@ -220,23 +235,36 @@ def _cleaned(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return c
 
 
-def _from_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
-    """Full lattice of the real field with half spectrum ``half``.
+def _project_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Project half spectra, stacked on the trailing axes, in place; returns half.
 
     The mean mode and the Nyquist rows are zeroed and the k_d = 0 plane is
-    symmetrised; the k_d < 0 half is the conjugate reflection of the rest,
-    so the result is exactly Hermitian.
+    symmetrised, so the Hermitian extension of each projected half spectrum
+    is a valid field.  Projecting again leaves every value unchanged, up to
+    the sign of zeros.
+    """
+    np.multiply(half, grid.half_mode_mask, out=half)
+    half[(...,) + (0,) * grid.dimension] = 0.0
+    plane = half[..., 0]
+    plane[...] = 0.5 * (plane + np.conj(_reflect(plane, axes=grid.axes[1:])))
+    return half
+
+
+def _from_half(grid: GridSpec, half: np.ndarray) -> np.ndarray:
+    """Full lattice of the real field with projected half spectrum ``half``.
+
+    The k_d >= 0 columns are ``half`` itself and the k_d < 0 half is its
+    conjugate reflection, so the result is exactly Hermitian.  ``half`` must
+    come from ``_project_half``, which is not re-applied: a second projection
+    could flip the sign of zeros, which checkpoint bytes would show.
     """
     n = grid.modes_per_axis
     full = np.empty(grid.shape, dtype=np.complex128)
     top = full[..., : n // 2 + 1]
-    np.multiply(half, grid.half_mode_mask, out=top)
-    top[(0,) * grid.dimension] = 0.0
-    plane = top[..., 0]
-    plane[...] = 0.5 * (plane + np.conj(_reflect(plane)))
+    top[...] = half
     # full index n - j holds the conjugate of k_d = j, j = N/2-1 .. 1
     full[..., n // 2 + 1 :] = np.conj(
-        _reflect(top[..., n // 2 - 1 : 0 : -1], ndim=grid.dimension - 1)
+        _reflect(top[..., n // 2 - 1 : 0 : -1], axes=grid.axes[:-1])
     )
     return full
 
@@ -249,26 +277,54 @@ def _assert_invariants(grid: GridSpec, coeffs: np.ndarray) -> None:
     assert herm <= 1e-12 * scale, f"Hermitian symmetry broken: {herm:.3e}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectralField:
     """Real, mean-zero scalar field held as complex Fourier coefficients.
 
-    Instances are immutable values; the coefficient array is marked
-    read-only.  Use the module-level operations to derive new fields.
+    Instances are immutable values; ``coeffs`` (the full lattice) and
+    ``half`` (its k_d >= 0 columns) are read-only arrays.  A field holds
+    whichever of the two it was built from and derives the other once, on
+    first read: solver output keeps its half spectrum until a caller reads
+    ``coeffs``.  The derivation is idempotent, so fields shared between
+    threads at worst build an array twice.  Use the module-level operations
+    to derive new fields.
     """
 
     grid: GridSpec
-    coeffs: np.ndarray
+    _coeffs: np.ndarray | None = field(repr=False)
+    _half: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        c = self.coeffs
-        if c.shape != self.grid.shape:
+    def __init__(self, grid: GridSpec, coeffs: np.ndarray):
+        if coeffs.shape != grid.shape:
             raise InvalidFieldError(
-                f"coefficient shape {c.shape} does not match grid {self.grid.shape}"
+                f"coefficient shape {coeffs.shape} does not match grid {grid.shape}"
             )
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not np.all(np.isfinite(coeffs.view(np.float64))):
             raise InvalidFieldError("non-finite Fourier coefficients")
-        c.flags.writeable = False
+        coeffs.flags.writeable = False
+        self._set(grid=grid, _coeffs=coeffs, _half=None)
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Full Fourier coefficient lattice in numpy FFT layout."""
+        if self._coeffs is None:
+            c = _from_half(self.grid, self._half)
+            c.flags.writeable = False
+            self._set(_coeffs=c)
+        return self._coeffs
+
+    @property
+    def half(self) -> np.ndarray:
+        """The k_d >= 0 columns of ``coeffs``: the field's rfftn half spectrum."""
+        if self._half is None:
+            h = self.grid.half(self._coeffs)
+            h.flags.writeable = False
+            self._set(_half=h)
+        return self._half
 
     @classmethod
     def _wrap(cls, grid: GridSpec, coeffs: np.ndarray) -> "SpectralField":
@@ -277,6 +333,20 @@ class SpectralField:
         if DEBUG_VALIDATE:
             _assert_invariants(grid, arr)
         return cls(grid, arr)
+
+    @classmethod
+    def _of_half(cls, grid: GridSpec, half: np.ndarray) -> "SpectralField":
+        """Adopt a finite half spectrum that ``_project_half`` has projected.
+
+        The array is marked read-only and kept; the lattice is built when
+        ``coeffs`` is first read (at once with DEBUG_VALIDATE on).
+        """
+        half.flags.writeable = False
+        f = cls.__new__(cls)
+        f._set(grid=grid, _coeffs=None, _half=half)
+        if DEBUG_VALIDATE:
+            _assert_invariants(grid, f.coeffs)
+        return f
 
     @classmethod
     def zeros(cls, grid: GridSpec) -> "SpectralField":
@@ -379,7 +449,7 @@ def _half_to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Sample theta(x) = sum_k theta_hat(k) e^{ikx} on the N^d lattice."""
-    return _half_to_physical(f.grid, f.grid.half(f.coeffs))
+    return _half_to_physical(f.grid, f.half)
 
 
 def from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -394,7 +464,7 @@ def from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     if abs(mean) > 1e-10 * max(rms, 1.0):
         raise InvalidFieldError(f"samples have nonzero mean {mean:.3g}")
     c = scipy.fft.rfftn(x, norm="forward")
-    return SpectralField._wrap(grid, _from_half(grid, c))
+    return SpectralField._of_half(grid, _project_half(grid, c))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +534,7 @@ def linf_norm(f: SpectralField, oversample: int = 2) -> float:
     src = [np.r_[0:top, n - top + 1 : n]] * (d - 1) + [np.arange(top)]
     dst = [np.r_[0:top, m - top + 1 : m]] * (d - 1) + [np.arange(top)]
     big = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
-    big[np.ix_(*dst)] = f.coeffs[np.ix_(*src)]
+    big[np.ix_(*dst)] = f.half[np.ix_(*src)]
     phys = scipy.fft.irfftn(big, s=(m,) * d, norm="forward")
     return float(np.max(np.abs(phys)))
 
@@ -539,10 +609,10 @@ def advect(u: VectorField, theta: SpectralField, dealias: str = "2/3") -> Spectr
         )
     grid = theta.grid
     mask = _dealias_selector(grid, dealias)
-    stacked = np.stack([theta.coeffs] + [comp.coeffs for comp in u.components])
-    phys = _half_to_physical(grid, grid.half(stacked) * mask)
+    stacked = np.stack([theta.half] + [comp.half for comp in u.components])
+    phys = _half_to_physical(grid, stacked * mask)
     acc = _flux_divergence(grid, phys[1:] * phys[0], mask)
-    return SpectralField._wrap(grid, _from_half(grid, acc))
+    return SpectralField._of_half(grid, _project_half(grid, acc))
 
 
 # ---------------------------------------------------------------------------

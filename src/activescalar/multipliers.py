@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, GridMismatchError
-from .grid import GridSpec, SpectralField, VectorField, _cleaned, _from_half
+from .grid import GridSpec, SpectralField, VectorField, _cleaned, _project_half
 
 __all__ = [
     "MultiplierSpec",
@@ -225,8 +225,8 @@ def apply_drift(table: SymbolTable, theta: SpectralField) -> VectorField:
     if table.grid != theta.grid:
         raise GridMismatchError("symbol table and field grids differ")
     grid = theta.grid
-    coeffs = table.half_values * grid.half(theta.coeffs)
-    return VectorField(tuple(SpectralField._wrap(grid, _from_half(grid, c)) for c in coeffs))
+    coeffs = _project_half(grid, table.half_values * theta.half)
+    return VectorField(tuple(SpectralField._of_half(grid, c) for c in coeffs))
 
 
 @dataclass

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTangentError
-from .grid import GridSpec, SpectralField, _cleaned, _from_half
+from .errors import ConfigError, DegenerateTangentError, InvalidFieldError
+from .grid import GridSpec, SpectralField, _cleaned, _project_half
 from .multipliers import SymbolTable, build_symbol_table
 from .stepping import (
     SimulationState,
@@ -97,10 +97,10 @@ def linearized_rhs(
     if theta.grid != psi.grid:
         raise ConfigError("linearized_rhs needs theta and psi on one grid")
     grid = theta.grid
-    X = grid.half(np.stack([theta.coeffs, psi.coeffs]))
+    X = np.stack([theta.half, psi.half])
     dn = _make_nonlinear(config, grid, None, table)(X)[0][1]
     lam = -config.kappa * grid.half_k_abs**config.gamma
-    return SpectralField._wrap(grid, _from_half(grid, lam * X[1] + dn))
+    return SpectralField._of_half(grid, _project_half(grid, lam * X[1] + dn))
 
 
 def tangent_step(
@@ -110,16 +110,22 @@ def tangent_step(
     table: SymbolTable,
     h: float | None = None,
 ) -> TangentBundle:
-    """One step of the stack [theta, psi_1, .., psi_n] with shared stage fields."""
+    """One step of the stack [theta, psi_1, .., psi_n] with shared stage fields.
+
+    The returned fields are rows of the projected result stack; their full
+    lattices are built only if a caller reads them.
+    """
     if h is None:
         h = config.dt
     if h is None or h <= 0:
         raise ConfigError("tangent_step needs a positive time step")
     grid = bundle.base.theta.grid
     rhs = _make_nonlinear(config, grid, S, table)
-    X = grid.half(np.stack([bundle.base.theta.coeffs] + [p.coeffs for p in bundle.tangents]))
+    X = np.stack([bundle.base.theta.half] + [p.half for p in bundle.tangents])
     new = _advance(X, rhs(X)[0], rhs, grid, config, h)
-    fields = [SpectralField._wrap(grid, _from_half(grid, row)) for row in new]
+    if not np.all(np.isfinite(new.view(np.float64))):
+        raise InvalidFieldError("non-finite Fourier coefficients")
+    fields = [SpectralField._of_half(grid, row) for row in _project_half(grid, new)]
     base = SimulationState(
         t=bundle.base.t + h, theta=fields[0], step_count=bundle.base.step_count + 1
     )
@@ -137,20 +143,21 @@ def reorthonormalize(bundle: TangentBundle) -> tuple[TangentBundle, np.ndarray]:
         raise ValueError("bundle has no tangents")
     grid = bundle.base.theta.grid
     w = _inner_weight(grid, bundle.inner_product)
-    basis: list[np.ndarray] = []
+    basis: list[tuple[np.ndarray, np.ndarray]] = []  # (q, w conj(q))
     logs = np.empty(len(bundle.tangents))
     for i, psi in enumerate(bundle.tangents):
         v = psi.coeffs.astype(np.complex128, copy=True)
-        for q in basis:
-            v -= float(np.real(np.sum(w * np.conj(q) * v))) * q
+        for q, wq in basis:
+            v -= float(np.real(np.sum(wq * v))) * q
         norm = float(np.sqrt(max(np.real(np.sum(w * np.conj(v) * v)), 0.0)))
         if norm < DEGENERATE_NORMALIZER:
             raise DegenerateTangentError(
                 f"tangent {i} is numerically dependent (normalizer {norm:.3e})"
             )
-        basis.append(v / norm)
+        q = v / norm
+        basis.append((q, w * np.conj(q)))
         logs[i] = np.log(norm)
-    tangents = tuple(SpectralField._wrap(grid, q.copy()) for q in basis)
+    tangents = tuple(SpectralField._wrap(grid, q) for q, _ in basis)
     return (
         TangentBundle(base=bundle.base, tangents=tangents, inner_product=bundle.inner_product),
         logs,

@@ -293,6 +293,16 @@ class TestMainDispatch:
                 "run", SMALL + "init.kind = modes\ninit.modes = 1 0 half 0", id="init.modes = 1 0 half 0"
             ),
             pytest.param("sweep-kappa", SMALL + "sweep.kappas = 0.1 x", id="sweep.kappas = 0.1 x"),
+            pytest.param("lyapunov", SMALL + "lyapunov.inner = xyz", id="lyapunov.inner = xyz"),
+            pytest.param("lyapunov", SMALL + "lyapunov.n = 0", id="lyapunov.n = 0"),
+            pytest.param(
+                "lyapunov",
+                SMALL + "lyapunov.renorm_interval = 0.1\nlyapunov.total_time = 0.15",
+                id="lyapunov.total_time below two intervals",
+            ),
+            pytest.param(
+                "lyapunov", SMALL + "lyapunov.renorm_interval = 0", id="lyapunov.renorm_interval = 0"
+            ),
         ],
     )
     def test_malformed_value_one_line_exit_one(self, tmp_path, capsys, command, text):
@@ -305,13 +315,10 @@ class TestMainDispatch:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
-    def test_custom_table_tabulated_once_per_run(self, tmp_path, monkeypatch):
-        # kappa = 0 also asks whether the custom symbol is bounded
+    def _count_table_builds(self, monkeypatch):
         import activescalar
         from activescalar import experiments, multipliers, stepping, tangent
 
-        (tmp_path / "table.txt").write_text(SQG_SHELL_TABLE)
-        cfg = self._write(tmp_path, CUSTOM.format(tmp=tmp_path) + "solver.kappa = 0\n")
         calls = []
         build = multipliers.build_symbol_table
 
@@ -321,7 +328,27 @@ class TestMainDispatch:
 
         for mod in (activescalar, experiments, multipliers, stepping, tangent):
             monkeypatch.setattr(mod, "build_symbol_table", counting)
+        return calls
+
+    def test_custom_table_tabulated_once_per_run(self, tmp_path, monkeypatch):
+        # kappa = 0 also asks whether the custom symbol is bounded
+        (tmp_path / "table.txt").write_text(SQG_SHELL_TABLE)
+        cfg = self._write(tmp_path, CUSTOM.format(tmp=tmp_path) + "solver.kappa = 0\n")
+        calls = self._count_table_builds(monkeypatch)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["sweep-kappa", "gevrey-track"])
+    def test_custom_table_tabulated_once_per_study(self, tmp_path, monkeypatch, command):
+        # two sweep members and the kappa = 0 reference share the loaded table
+        (tmp_path / "table.txt").write_text(SQG_SHELL_TABLE)
+        cfg = self._write(
+            tmp_path,
+            CUSTOM.format(tmp=tmp_path)
+            + "solver.kappa = 0.1\nsweep.kappas = 0.1 0.05\ninit.kind = analytic_decay\n",
+        )
+        calls = self._count_table_builds(monkeypatch)
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
 
     def test_missing_config_file(self, tmp_path):
