@@ -46,6 +46,15 @@ class BlowUpError(ActiveScalarError):
 class StabilityError(ActiveScalarError):
     """Configured time step exceeds the advective CFL bound by more than 10x."""
 
+    def __init__(self, t: float, h: float, bound: float, factor: float):
+        self.t = t
+        self.h = h
+        self.bound = bound
+        super().__init__(
+            f"dt={h:.3g} exceeds CFL bound {bound:.3g} by more than "
+            f"{factor:.0f}x at t={t:.6g}"
+        )
+
 
 class DegenerateTangentError(ActiveScalarError):
     """Tangent set lost rank during re-orthonormalization."""

@@ -28,9 +28,12 @@ projected half spectrum (``SpectralField.half``); ``_from_half`` extends it
 to the full lattice only when a caller first reads ``coeffs``, and the
 lattice is kept from then on.  One etdrk2 step of a d-dimensional field
 transforms 2(2d+1) real fields (14 in 3-D, half the cost of a complex
-transform each), in one batched inverse and one batched forward call per
-stage.  Transforms are looked up as ``scipy.fft.<name>`` at call time, with
-the default worker count.
+transform each), in one batched inverse and one batched forward transform
+per stage.  The inverse, ``_half_to_physical``, consumes its input: it runs
+the leading-axes ``ifftn`` in place in the caller's scratch spectra and
+then the last-axis ``irfft``, so no copy of the stage spectra is made.
+Transforms are looked up as ``scipy.fft.<name>`` at call time, with the
+default worker count.
 
 The public ``advect`` checks its drift for divergence-freeness on every
 call.  The solver's stage right-hand sides call the unchecked kernels
@@ -443,13 +446,25 @@ def _check_same_grid(a, b) -> None:
 
 
 def _half_to_physical(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
-    """Physical samples of the half spectra stacked on spec's trailing axes."""
-    return scipy.fft.irfftn(spec, s=grid.shape, axes=grid.axes, norm="forward")
+    """Physical samples of the half spectra stacked on spec's trailing axes.
+
+    Consumes ``spec``: the leading-axes inverse runs in place in it, so the
+    caller hands over a scratch array (a read-only one makes scipy raise).
+    The last-axis inverse then writes the samples to a new real array; the
+    two calls give the same bits as ``irfftn`` without its input copy.
+    """
+    scipy.fft.ifftn(spec, axes=grid.axes[:-1], norm="forward", overwrite_x=True)
+    return scipy.fft.irfft(spec, n=grid.modes_per_axis, axis=-1, norm="forward")
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| without an |a| temporary."""
+    return float(max(a.max(), -a.min()))
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Sample theta(x) = sum_k theta_hat(k) e^{ikx} on the N^d lattice."""
-    return _half_to_physical(f.grid, f.half)
+    return _half_to_physical(f.grid, f.half.copy())
 
 
 def from_physical(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -526,7 +541,7 @@ def linf_norm(f: SpectralField, oversample: int = 2) -> float:
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     if oversample == 1:
-        return float(np.max(np.abs(to_physical(f))))
+        return _max_abs(to_physical(f))
     n = f.grid.modes_per_axis
     d = f.grid.dimension
     m = oversample * n
@@ -535,8 +550,7 @@ def linf_norm(f: SpectralField, oversample: int = 2) -> float:
     dst = [np.r_[0:top, m - top + 1 : m]] * (d - 1) + [np.arange(top)]
     big = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
     big[np.ix_(*dst)] = f.half[np.ix_(*src)]
-    phys = scipy.fft.irfftn(big, s=(m,) * d, norm="forward")
-    return float(np.max(np.abs(phys)))
+    return _max_abs(_half_to_physical(GridSpec(d, m), big))
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:

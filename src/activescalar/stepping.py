@@ -17,9 +17,12 @@ The state and the stage right-hand sides live on rfftn half spectra (see
 ``grid``): ``step`` reads the state's half spectrum, runs the stages there
 and returns a field holding the projected result, so a run builds full
 lattices only for the states its observers read.  The blow-up monitor of
-``run`` takes the H^1 norms on the half spectrum too.  The in-step CFL guard
-reads the physical drift of the first stage, which equals the full drift
-whenever theta has no energy outside the dealias band.  The diagonal linear
+``run`` takes the H^1 norms on the half spectrum too.  A stage transforms
+its masked fields and drifts in place of their scratch spectra and forms
+the fluxes in the drift rows of the physical samples, so it allocates no
+flux array and no |u| temporary.  The in-step CFL guard reads max |u| over
+the first stage's physical drift, which equals the full drift whenever
+theta has no energy outside the dealias band.  The diagonal linear
 factors are cached per (grid, kappa, gamma, h, integrator) in a bounded
 LRU cache.
 
@@ -51,8 +54,8 @@ from .grid import (
     _dealias_selector,
     _flux_divergence,
     _half_to_physical,
+    _max_abs,
     _project_half,
-    linf_norm,
 )
 from .multipliers import MultiplierSpec, SymbolTable, apply_drift, build_symbol_table, table_is_bounded
 
@@ -131,9 +134,12 @@ def linear_propagator(grid: GridSpec, kappa: float, gamma: float, h: float) -> n
 
 
 def cfl_dt(u: VectorField, grid: GridSpec, cfl_safety: float = 0.5) -> float:
-    """Advective step bound cfl_safety * dx / max(|u|_inf, floor)."""
-    umax = max(linf_norm(comp, oversample=1) for comp in u.components)
-    return _cfl_bound(grid, umax, cfl_safety)
+    """Advective step bound cfl_safety * dx / max(|u|_inf, floor).
+
+    The d components are sampled on the N^d lattice in one stacked inverse.
+    """
+    phys = _half_to_physical(u.grid, np.stack([comp.half for comp in u.components]))
+    return _cfl_bound(grid, _max_abs(phys), cfl_safety)
 
 
 def _cfl_bound(grid: GridSpec, umax: float, cfl_safety: float) -> float:
@@ -195,9 +201,11 @@ def _make_nonlinear(
     N(theta) = S - div(u[theta] theta); row i is its derivative
     DN(theta)[psi_i] = -div(u[theta] psi_i + u[psi_i] theta), so one stepper
     run on X advances the base and the exact discrete tangents together.
-    All (1+n)(d+1) masked fields and drifts go through one inverse transform
-    and all (1+n)d fluxes through one forward transform.  The function also
-    hands back the physical (dealiased) drift of row 0, for the CFL guard.
+    All (1+n)(d+1) masked fields and drifts go through one inverse transform,
+    which consumes its scratch spectra; the fluxes are formed in place in the
+    drift rows of the physical stack and all (1+n)d go through one forward
+    transform.  The function also hands back max |u| of row 0's physical
+    (dealiased) drift, for the CFL guard.
     The table must carry its divergence certificate: the advection kernel
     does not check the drift.
     """
@@ -209,20 +217,23 @@ def _make_nonlinear(
     values = table.half_values
     d = grid.dimension
 
-    def rhs(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(X: np.ndarray) -> tuple[np.ndarray, float]:
         spec = np.empty((len(X), d + 1) + grid.half_shape, dtype=np.complex128)
         np.multiply(X, mask, out=spec[:, 0])
         np.multiply(values, spec[:, :1], out=spec[:, 1:])
         phys = _half_to_physical(grid, spec)
+        del spec  # consumed by the inverse; free it before the forward transform
         theta, u = phys[0, 0], phys[0, 1:]
-        flux = np.empty((len(X), d) + grid.shape)
-        np.multiply(u, theta, out=flux[0])
-        np.multiply(u, phys[1:, :1], out=flux[1:])
-        flux[1:] += phys[1:, 1:] * theta
-        out = _flux_divergence(grid, flux, mask)
+        umax = _max_abs(u)
+        # fluxes in place in the drift rows; row 0 goes last because the
+        # tangent rows' fluxes u[psi_i] theta + u psi_i read its u and theta
+        phys[1:, 1:] *= theta
+        phys[1:, 1:] += u * phys[1:, :1]
+        u *= theta
+        out = _flux_divergence(grid, phys[:, 1:], mask)
         np.subtract(S_half, out[0], out=out[0])
         np.negative(out[1:], out=out[1:])
-        return out, u
+        return out, umax
 
     return rhs
 
@@ -287,17 +298,14 @@ def step(
     rhs = _make_nonlinear(config, grid, S, table)
 
     c = state.theta.half
-    n0, u = rhs(c[None])
+    n0, umax = rhs(c[None])
     if np.any(c[~_dealias_selector(grid, config.dealias)]):
         # the first stage saw a truncated drift; measure the full one
         bound = cfl_dt(apply_drift(table, state.theta), grid, config.cfl_safety)
     else:
-        bound = _cfl_bound(grid, float(np.max(np.abs(u))), config.cfl_safety)
+        bound = _cfl_bound(grid, umax, config.cfl_safety)
     if h > CFL_VIOLATION_FACTOR * bound:
-        raise StabilityError(
-            f"dt={h:.3g} exceeds CFL bound {bound:.3g} by more than "
-            f"{CFL_VIOLATION_FACTOR:.0f}x at t={state.t:.6g}"
-        )
+        raise StabilityError(t=state.t, h=h, bound=bound, factor=CFL_VIOLATION_FACTOR)
 
     new = _advance(c[None], n0, rhs, grid, config, h)[0]
     if not np.all(np.isfinite(new.view(np.float64))):

@@ -96,6 +96,18 @@ class TestCflDt:
         d2 = cfl_dt(apply_drift(table, 2.0 * theta), grid)
         assert abs(d1 / d2 - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("grid", [GridSpec(2, 32), GridSpec(3, 12)], ids=["2d", "3d"])
+    def test_stacked_transform_equals_per_component_max(self, grid):
+        # one stacked inverse over the d components gives the same bits as
+        # the max of their separate oversample-1 sup norms
+        from activescalar import linf_norm
+
+        spec = SQG if grid.dimension == 2 else MultiplierSpec(kind="mg", nu=0.5)
+        theta = random_band_field(grid, 1, 5, 1.0, 4, zero_k3_plane=grid.dimension == 3)
+        u = apply_drift(build_symbol_table(spec, grid), theta)
+        umax = max(linf_norm(comp, oversample=1) for comp in u.components)
+        assert cfl_dt(u, grid, 0.5) == 0.5 * grid.dx / umax
+
 
 class TestStepExactness:
     @pytest.mark.parametrize("integrator", ["etdrk2", "ifrk4"])
@@ -175,6 +187,21 @@ class TestStepGuards:
         state = SimulationState(t=0.0, theta=theta)
         with pytest.raises(StabilityError):
             step(state, cfg, None, sqg_table(grid))
+
+    def test_cfl_violation_carries_t_h_bound(self):
+        grid = GridSpec(2, 32)
+        theta = random_band_field(grid, 1, 4, 50.0, 7)
+        table = sqg_table(grid)
+        cfg = SolverConfig(kappa=0.1, gamma=1.0, drift=SQG, t_end=1.0, dt=0.5)
+        state = SimulationState(t=0.25, theta=theta)
+        with pytest.raises(StabilityError) as info:
+            step(state, cfg, None, table)
+        err = info.value
+        bound = cfl_dt(apply_drift(table, theta), grid, cfg.cfl_safety)
+        assert (err.t, err.h, err.bound) == (0.25, 0.5, bound)
+        assert str(err) == (
+            f"dt={0.5:.3g} exceeds CFL bound {bound:.3g} by more than 10x at t={0.25:.6g}"
+        )
 
     def test_blow_up_detection(self):
         # drift-free run forced past the double range: linear growth theta ~ t S

@@ -123,9 +123,10 @@ class TestTangentStep:
             assert np.array_equal(got.coeffs, alone.tangents[0].coeffs)
 
     def test_etdrk2_transform_count(self, fft_counter):
-        # per stage, theta and every tangent go through one inverse call
-        # (field + d drift components each) and one forward call (d fluxes
-        # each): 2 (n+1)(2d+1) real fields in 4 calls per step
+        # per stage, theta and every tangent go through one inverse (field +
+        # d drift components each; a leading-axes ifftn and a last-axis
+        # irfft) and one forward call (d fluxes each): 2 (n+1)(2d+1) real
+        # fields in 6 calls per step
         grid = GridSpec(2, 16)
         n, d = 3, grid.dimension
         cfg = sqg_cfg()
@@ -137,7 +138,7 @@ class TestTangentStep:
         S = random_band_field(grid, 1, 3, 0.5, 4)
         counts = fft_counter(grid)
         tangent_step(bundle, cfg, S, table)
-        assert counts == {"calls": 4, "real": 2 * (n + 1) * (2 * d + 1), "complex": 0}
+        assert counts == {"calls": 6, "real": 2 * (n + 1) * (2 * d + 1), "complex": 0}
 
     def test_steady_state_rhs_direction_stays_zero(self):
         # at the single-mode fixed point the full right-hand side vanishes,
