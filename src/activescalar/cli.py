@@ -764,7 +764,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_scratch_on_heap() -> None:
+    """Serve the per-step scratch arrays from glibc's heap, not from mmap.
+
+    glibc mmaps each block above its mmap threshold and unmaps it on free,
+    so a step's short-lived 0.1-8 MB arrays would fault their pages in anew
+    on every use.  A fixed 16 MiB threshold (the largest scratch array of a
+    96^3 oversampled ``linf_norm`` half spectrum is 7.2 MB) and a 32 MiB trim
+    threshold keep freed blocks in the heap for the next step; nothing is
+    held by the package.  Does nothing off glibc, ignores failure, and may
+    be repeated.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+    except (AttributeError, OSError, ValueError):
+        pass
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    _keep_scratch_on_heap()
     args = _build_parser().parse_args(argv)
     out = Path(args.out)
     try:
@@ -786,7 +811,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc.cause, BlowUpError):
             print(f"blow-up during sweep: {exc.cause}", file=sys.stderr)
             return 2
-        raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ActiveScalarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .diagnostics import analyticity_radius_estimate
 from .errors import ActiveScalarError, EstimationError, SweepAbortedError
@@ -409,5 +408,27 @@ def nu_sweep_attractor(
     else:
         clouds = [member(nu) for nu in nus]
     rows = [(nu, semidistance(cloud, reference, norm)) for nu, cloud in zip(nus, clouds)]
-    corr = stats.spearmanr([r[0] for r in rows], [r[1] for r in rows]).statistic
-    return NuSweepResult(rows=rows, spearman=float(corr), norm=norm)
+    corr = _spearman([r[0] for r in rows], [r[1] for r in rows])
+    return NuSweepResult(rows=rows, spearman=corr, norm=norm)
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions."""
+    order = np.argsort(a, kind="mergesort")
+    sorted_a = a[order]
+    new_value = np.r_[True, sorted_a[1:] != sorted_a[:-1]]
+    bounds = np.r_[np.flatnonzero(new_value), len(a)]  # tie groups [bounds[g], bounds[g+1])
+    ranks = np.empty(len(a))
+    ranks[order] = (0.5 * (bounds[:-1] + bounds[1:] + 1))[np.cumsum(new_value) - 1]
+    return ranks
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rank correlation by scipy's own formula (average ranks,
+    then Pearson): nan for fewer than two pairs, a constant input or a nan."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+        return float("nan")
+    if np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[1, 0])

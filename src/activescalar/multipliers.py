@@ -199,6 +199,27 @@ def _sqg_table_values(grid: GridSpec) -> np.ndarray:
     return vals
 
 
+class _ListedSymbol:
+    """Symbol of a loaded table: the listed value at k, zero elsewhere."""
+
+    def __init__(self, entries: dict[tuple[int, ...], np.ndarray], dimension: int):
+        self.entries = entries
+        self.dimension = dimension
+
+    def __call__(self, k: tuple[int, ...]) -> np.ndarray:
+        return self.entries.get(k, np.zeros(self.dimension, dtype=np.complex128))
+
+    def tabulate(self, grid: GridSpec) -> np.ndarray:
+        """Scatter the entries on the grid's lattice into a (d, N, ..., N) array."""
+        vals = np.zeros((grid.dimension,) + grid.shape, dtype=np.complex128)
+        half = grid.modes_per_axis // 2
+        kept = [(k, v) for k, v in self.entries.items() if all(-half <= c < half for c in k)]
+        if kept:
+            ks, vs = zip(*kept)
+            vals[(slice(None),) + tuple(np.array(ks).T % grid.modes_per_axis)] = np.array(vs).T
+        return vals
+
+
 def build_symbol_table(spec: MultiplierSpec, grid: GridSpec) -> SymbolTable:
     """Tabulate the symbol on the retained lattice (Nyquist rows zeroed)."""
     if spec.dimension != grid.dimension:
@@ -209,6 +230,8 @@ def build_symbol_table(spec: MultiplierSpec, grid: GridSpec) -> SymbolTable:
         vals = _mg_table_values(grid, spec.nu)
     elif spec.kind == "sqg":
         vals = _sqg_table_values(grid)
+    elif isinstance(spec.symbol_fn, _ListedSymbol):
+        vals = spec.symbol_fn.tabulate(grid)
     else:
         vals = np.zeros((grid.dimension,) + grid.shape, dtype=np.complex128)
         ks = [k.reshape(-1) for k in np.broadcast_arrays(*grid.wavenumbers)]
@@ -420,10 +443,10 @@ def load_custom_symbol_file(
                 dtype=np.complex128,
             )
 
-    def fn(k: tuple[int, ...]) -> np.ndarray:
-        return entries.get(k, np.zeros(dimension, dtype=np.complex128))
-
-    spec = MultiplierSpec(kind="custom", dimension=dimension, symbol_fn=fn, label=str(path))
+    spec = MultiplierSpec(
+        kind="custom", dimension=dimension, symbol_fn=_ListedSymbol(entries, dimension),
+        label=str(path),
+    )
     table = build_symbol_table(spec, grid)
     report = _assumption_report(spec, grid, [(spec.nu, table)])
     if report.flags:

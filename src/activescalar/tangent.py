@@ -256,7 +256,6 @@ def lyapunov_run(
         tangents=random_tangent_set(grid, n, seed, inner_product),
         inner_product=inner_product,
     )
-    bundle, _ = reorthonormalize(bundle)
     log_sums = np.zeros(n)
     for block in range(n_intervals):
         for _ in range(steps_per_renorm):

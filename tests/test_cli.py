@@ -2,7 +2,12 @@
 
 import itertools
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -293,6 +298,11 @@ class TestMainDispatch:
                 "run", SMALL + "init.kind = modes\ninit.modes = 1 0 half 0", id="init.modes = 1 0 half 0"
             ),
             pytest.param("sweep-kappa", SMALL + "sweep.kappas = 0.1 x", id="sweep.kappas = 0.1 x"),
+            pytest.param(
+                "sweep-kappa",
+                SMALL + "solver.dt = 5\nsweep.kappas = 0.1 0.05",
+                id="sweep member dt far above CFL",
+            ),
             pytest.param("lyapunov", SMALL + "lyapunov.inner = xyz", id="lyapunov.inner = xyz"),
             pytest.param("lyapunov", SMALL + "lyapunov.n = 0", id="lyapunov.n = 0"),
             pytest.param(
@@ -524,3 +534,59 @@ class TestNormReproducibility:
         assert (out1 / "sweep_kappa.csv").read_bytes() == (
             out2 / "sweep_kappa.csv"
         ).read_bytes()
+
+
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    import activescalar
+
+    src = str(Path(activescalar.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestProcessCost:
+    def test_import_leaves_out_scipy_stats(self):
+        out = _run_python(
+            """
+            import sys
+            import activescalar, activescalar.cli
+            print("scipy.stats" in sys.modules)
+            """
+        )
+        assert out.strip() == "False"
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the scratch allocation setting applies to glibc only",
+    )
+    def test_steady_state_call_reuses_heap_pages(self, tmp_path):
+        # mg 24^3, five steps: each step allocates 0.1-1 MB scratch arrays.
+        # Served by mmap they fault their pages in on every call (thousands
+        # of minor faults); kept on the heap a warm call faults almost none.
+        # The first call builds caches and the second may still grow the
+        # heap once, so the third call is the one measured.
+        cfg = tmp_path / "mg.cfg"
+        cfg.write_text(
+            "drift.kind = mg\ndrift.nu = 0.5\ngrid.modes = 24\nsolver.kappa = 0.05\n"
+            "solver.t_end = 0.1\nsolver.dt = 0.02\n"
+            "forcing.kind = random_band\nforcing.kmax = 3\nforcing.amplitude = 0.5\n"
+        )
+        out = _run_python(
+            f"""
+            import resource
+            from activescalar.cli import main
+
+            for i in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert main(["run", {str(cfg)!r}, "--out", {str(tmp_path)!r} + f"/o{{i}}"]) == 0
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            """
+        )
+        assert int(out) < 200

@@ -1,5 +1,7 @@
 """Tests for the sweep, radius-tracking and attractor-sampling studies."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,7 +24,7 @@ from activescalar import (
     single_mode_field,
     sobolev_norm,
 )
-from activescalar.experiments import difference_norm, field_digest
+from activescalar.experiments import _spearman, difference_norm, field_digest
 
 SQG = MultiplierSpec(kind="sqg")
 MG = MultiplierSpec(kind="mg", nu=0.1)
@@ -321,3 +323,36 @@ class TestNuSweep:
         again = attractor_sample(cfg, [theta0], S, transient=5.0, cadence=0.5, count=6)
         # identical parameters and data: the sampled clouds coincide
         assert semidistance(again, ref) < 1e-12
+
+
+class TestSpearman:
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            pytest.param([0.4, 0.2, 0.1, 0.05], [0.9, 0.3, 0.5, 0.1], id="untied"),
+            pytest.param([3.0, 1.0, 2.0, 2.0, 5.0, 1.0], [1.0, 1.0, 4.0, 2.0, 2.0, 0.5], id="tied"),
+            pytest.param([0.4, 0.2, 0.1], [0.1, 0.2, 0.4], id="reversed"),
+            pytest.param([0.4, 0.2, 0.1], [0.3, 0.3, 0.3], id="constant"),
+            pytest.param([0.4], [0.3], id="one pair"),
+        ],
+    )
+    def test_equals_scipy_bitwise(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's constant-input warning
+            want = float(stats.spearmanr(x, y).statistic)
+        got = _spearman(x, y)
+        assert got == want or (np.isnan(got) and np.isnan(want))
+
+    def test_equals_scipy_on_random_ties(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            n = int(rng.integers(2, 12))
+            if trial % 2:
+                x, y = rng.integers(0, 4, n).astype(float), rng.integers(0, 3, n).astype(float)
+            else:
+                x, y = rng.standard_normal(n), rng.standard_normal(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = float(stats.spearmanr(x, y).statistic)
+            got = _spearman(x, y)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (x, y)

@@ -253,6 +253,27 @@ class TestCustomSymbolFile:
         with pytest.warns(UserWarning):
             load_custom_symbol_file(path, 2, GridSpec(2, 16), strict=False)
 
+    @pytest.mark.parametrize("grid", [GridSpec(2, 8), GridSpec(3, 8)], ids=["2d", "3d"])
+    def test_scatter_equals_site_loop(self, tmp_path, grid):
+        # random values on random wavevectors, some outside the lattice, plus
+        # a duplicate (last wins), a Nyquist row and k = 0
+        d, half = grid.dimension, grid.modes_per_axis // 2
+        rng = np.random.default_rng(d)
+        ks = [tuple(int(c) for c in rng.integers(-half - 2, half + 2, d)) for _ in range(60)]
+        ks += [ks[0], (-half,) + (1,) * (d - 1), (0,) * d]
+        lines = [
+            " ".join(map(str, k)) + " " + " ".join(repr(float(v)) for v in rng.standard_normal(2 * d))
+            for k in ks
+        ]
+        path = tmp_path / "table.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning):  # random values fail the audits
+            table = load_custom_symbol_file(path, d, grid, strict=False)
+        listed = table.spec.symbol_fn
+        loop = MultiplierSpec(kind="custom", dimension=d, symbol_fn=lambda k: listed(k))
+        assert np.array_equal(table.values, build_symbol_table(loop, grid).values)
+        assert np.count_nonzero(table.values) > 0
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("1 0 1.0\n")
