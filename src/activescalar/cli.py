@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -67,54 +67,104 @@ _DRIFT_NAMES = {v: k for k, v in _DRIFT_CODES.items()}
 # Config schema
 
 _GENERATORS = ("single_mode", "random_band", "analytic_decay", "modes", "from_checkpoint", "none")
+_NORMS = {"l2": ("l2",), "h1": ("hs", 1.0)}
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: text parser, default, doc and optional range check.
+
+    ``valid`` checks the parsed value, or each item of a list value.  A
+    default of None marks a key that is required or whose default depends
+    on other keys; ``parse_config`` fills those in.
+    """
+
+    parse: Callable[[str], object]
+    default: object
+    doc: str
+    valid: Callable[[object], bool] | None = None
+
+    def accepts(self, value) -> bool:
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        return self.valid is None or all(self.valid(v) for v in items)
+
+
+def _typed(conv: Callable[[str], object], failure: str) -> Callable[[str], object]:
+    """Parser applying ``conv``; a failure reads '{failure} {text!r}'."""
+
+    def parse(text: str):
+        try:
+            return conv(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{failure} {text!r}") from None
+
+    return parse
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_FLOAT = _typed(float, "not a number:")
+_INT = _typed(int, "not an integer:")
+_FLOATS = _typed(lambda text: tuple(float(p) for p in text.split()), "not a list of floats:")
+_INTS = _typed(lambda text: tuple(int(p) for p in text.split()), "not a list of ints:")
+_BOOL = _typed(lambda text: _BOOLS[text.lower()], "expected a boolean, got")
+_DT = _typed(lambda text: None if text.lower() == "auto" else float(text), "not a number:")
+
+
+def _at_least(bound, strict: bool = False):
+    return lambda value: value > bound if strict else value >= bound
+
+
+def _one_of(choices):
+    return lambda value: value in choices
+
+
+# The nine generator keys, written once for the init. and forcing. prefixes.
+_GENERATOR_KEYS = {
+    "kind": _Key(str, None, " | ".join(_GENERATORS) + " (default random_band for init, none for "
+                 "forcing)", _one_of(_GENERATORS)),
+    "k": _Key(_INTS, None, "wavevector for single_mode, e.g. '1 0'"),
+    "amplitude": _Key(_FLOAT, 1.0, "generator amplitude"),
+    "kmin": _Key(_FLOAT, 1.0, "random_band lower shell, > 0", _at_least(0, strict=True)),
+    "kmax": _Key(_FLOAT, None, "random_band upper shell, >= kmin (default max(2, N/6))",
+                 _at_least(0, strict=True)),
+    "seed": _Key(_INT, None, "generator seed, >= 0 (default --seed, plus 1 for forcing)",
+                 _at_least(0)),
+    "tau0": _Key(_FLOAT, 0.8, "analytic_decay radius, > 0", _at_least(0, strict=True)),
+    "modes": _Key(str, None, "inline modes 'k.. re im; ...' for the modes generator"),
+    "path": _Key(str, None, "checkpoint path for from_checkpoint"),
+}
 
 CONFIG_KEYS = {
-    "grid.dimension": "grid dimension (2 or 3); default set by drift kind",
-    "grid.modes": "even modes per axis, >= 8",
-    "drift.kind": "mg | sqg | custom",
-    "drift.nu": "mg viscosity parameter, >= 0 (default 0)",
-    "drift.table": "path to a custom symbol table file",
-    "drift.strict": "reject (true) or warn (false) on custom-symbol audit failures",
-    "solver.kappa": "thermal diffusivity, >= 0",
-    "solver.gamma": "fractional dissipation power in (0, 2]",
-    "solver.dt": "time step, or 'auto'",
-    "solver.t_end": "horizon, >= 0",
-    "solver.cfl_safety": "CFL safety factor in (0, 1]",
-    "solver.integrator": "etdrk2 | ifrk4",
-    "solver.dealias": "2/3 | none",
-    "init.kind": "single_mode | random_band | analytic_decay | modes | from_checkpoint",
-    "init.k": "wavevector for single_mode, e.g. '1 0'",
-    "init.amplitude": "generator amplitude",
-    "init.kmin": "random_band lower shell",
-    "init.kmax": "random_band upper shell",
-    "init.seed": "generator seed",
-    "init.tau0": "analytic_decay radius",
-    "init.modes": "inline modes 'k.. re im; ...'",
-    "init.path": "checkpoint path for from_checkpoint",
-    "forcing.kind": "none | single_mode | random_band | analytic_decay | modes | from_checkpoint",
-    "forcing.k": "see init.k",
-    "forcing.amplitude": "see init.amplitude",
-    "forcing.kmin": "see init.kmin",
-    "forcing.kmax": "see init.kmax",
-    "forcing.seed": "see init.seed",
-    "forcing.tau0": "see init.tau0",
-    "forcing.modes": "see init.modes",
-    "forcing.path": "see init.path",
-    "diag.hs": "Sobolev exponents to record, e.g. '1 2'",
-    "diag.observe_every": "record every n-th step",
-    "sweep.kappas": "descending kappa list for sweep-kappa",
-    "sweep.nus": "descending nu list for sweep-nu",
-    "sweep.norms": "norm labels: l2 h1 (default l2)",
-    "sweep.transient": "attractor transient time",
-    "sweep.cadence": "attractor sampling cadence",
-    "sweep.count": "snapshots per cloud",
-    "lyapunov.n": "number of tangent directions",
-    "lyapunov.renorm_interval": "time between re-orthonormalizations",
-    "lyapunov.total_time": "averaging horizon",
-    "lyapunov.inner": "h1 | l2",
-    "gevrey.r": "Gevrey derivative index",
-    "gevrey.s": "Gevrey class index, >= 1",
-    "gevrey.tau_fraction": "prescribed tau as a fraction of tau_hat(0)",
+    "grid.dimension": _Key(_INT, None, "grid dimension (2 or 3); default set by drift kind"),
+    "grid.modes": _Key(_INT, None, "even modes per axis, >= 8 (default 64 in 2-d, 24 in 3-d)"),
+    "drift.kind": _Key(str.lower, None, "mg | sqg | custom (required)", _one_of(_DRIFT_CODES)),
+    "drift.nu": _Key(_FLOAT, 0.0, "mg viscosity parameter, >= 0", _at_least(0)),
+    "drift.table": _Key(str, None, "path to a custom symbol table file"),
+    "drift.strict": _Key(_BOOL, True, "reject (true) or warn (false) on table audit failures"),
+    "solver.kappa": _Key(_FLOAT, None, "thermal diffusivity, >= 0 (required)"),
+    "solver.gamma": _Key(_FLOAT, None, "dissipation power in (0, 2]; default 1 for sqg, else 2"),
+    "solver.dt": _Key(_DT, None, "time step, or 'auto' (default)"),
+    "solver.t_end": _Key(_FLOAT, None, "horizon, >= 0 (required)"),
+    "solver.cfl_safety": _Key(_FLOAT, 0.5, "CFL safety factor in (0, 1]"),
+    "solver.integrator": _Key(lambda t: t.lower().replace("-", ""), "etdrk2", "etdrk2 | ifrk4"),
+    "solver.dealias": _Key(str, "2/3", "2/3 | none"),
+    **{f"{p}.{name}": key for p in ("init", "forcing") for name, key in _GENERATOR_KEYS.items()},
+    "diag.hs": _Key(_FLOATS, (1.0,), "Sobolev exponents to record, each >= 0", _at_least(0)),
+    "diag.observe_every": _Key(_INT, 1, "record every n-th step, >= 1", _at_least(1)),
+    "sweep.kappas": _Key(_FLOATS, None, "sweep-kappa kappas, descending, each >= 0", _at_least(0)),
+    "sweep.nus": _Key(_FLOATS, None, "sweep-nu nus, descending, each >= 0", _at_least(0)),
+    "sweep.norms": _Key(str.split, ("l2",), "norm labels, each l2 | h1", _one_of(_NORMS)),
+    "sweep.transient": _Key(_FLOAT, 10.0, "attractor transient time, >= 0", _at_least(0)),
+    "sweep.cadence": _Key(_FLOAT, 0.5, "attractor sample spacing, > 0", _at_least(0, strict=True)),
+    "sweep.count": _Key(_INT, 20, "snapshots per cloud, >= 1", _at_least(1)),
+    "lyapunov.n": _Key(_INT, 4, "number of tangent directions, >= 1", _at_least(1)),
+    "lyapunov.renorm_interval": _Key(_FLOAT, 0.5, "time between re-orthonormalizations, > 0",
+                                     _at_least(0, strict=True)),
+    "lyapunov.total_time": _Key(_FLOAT, 50.0, "averaging horizon, >= 2 renorm_interval"),
+    "lyapunov.inner": _Key(str, "h1", " | ".join(INNER_PRODUCTS), _one_of(INNER_PRODUCTS)),
+    "gevrey.r": _Key(_FLOAT, 0.0, "Gevrey derivative index, >= 0", _at_least(0)),
+    "gevrey.s": _Key(_FLOAT, 1.0, "Gevrey class index, >= 1", _at_least(1)),
+    "gevrey.tau_fraction": _Key(_FLOAT, 0.5, "tau as a fraction of tau_hat(0), >= 0", _at_least(0)),
 }
 
 
@@ -135,42 +185,32 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _get_float(kv: dict, key: str, default=None) -> float | None:
-    if key not in kv:
-        return default
-    try:
-        return float(kv[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {kv[key]!r}") from exc
+def _read_options(kv: dict[str, str]) -> dict[str, object]:
+    """Every schema key as a typed value: the given one, parsed and
+    range-checked, else the schema default."""
+    options = {key: spec.default for key, spec in CONFIG_KEYS.items()}
+    for key, text in kv.items():
+        spec = CONFIG_KEYS[key]
+        try:
+            value = spec.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+        if not spec.accepts(value):
+            raise ConfigError(f"{key}: invalid value {text!r}; {spec.doc}")
+        options[key] = value
+    return options
 
 
-def _get_int(kv: dict, key: str, default=None) -> int | None:
-    if key not in kv:
-        return default
-    try:
-        return int(kv[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not an integer: {kv[key]!r}") from exc
+def _required(options: dict[str, object], key: str, context: str = ""):
+    value = options[key]
+    if value is None:
+        raise ConfigError(f"{key} is required{context}")
+    return value
 
 
-def _get_list(kv: dict, key: str, conv=float, default=None) -> list | None:
-    if key not in kv:
-        return default
-    try:
-        return [conv(p) for p in kv[key].split()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a list of {conv.__name__}s: {kv[key]!r}") from exc
-
-
-def _get_bool(kv: dict, key: str, default: bool) -> bool:
-    if key not in kv:
-        return default
-    val = kv[key].lower()
-    if val in ("true", "1", "yes"):
-        return True
-    if val in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {kv[key]!r}")
+def _default(value, fallback):
+    """``fallback`` when the key was not given (``value`` is None)."""
+    return fallback if value is None else value
 
 
 def _parse_mode_list(spec: str, dimension: int) -> dict[tuple[int, ...], complex]:
@@ -201,41 +241,31 @@ _ANALYTIC_GENERATORS = {"single_mode", "analytic_decay", "modes"}
 
 
 def _build_generated_field(
-    kv: dict, prefix: str, grid: GridSpec, zero_k3: bool, default_seed: int
+    options: dict[str, object], prefix: str, grid: GridSpec, zero_k3: bool, default_seed: int
 ) -> SpectralField | None:
-    kind = kv.get(f"{prefix}.kind", "none" if prefix == "forcing" else "random_band")
-    if kind not in _GENERATORS:
-        raise ConfigError(f"{prefix}.kind: unknown generator {kind!r}")
+    opt = {name: options[f"{prefix}.{name}"] for name in _GENERATOR_KEYS}
+    kind = _default(opt["kind"], "none" if prefix == "forcing" else "random_band")
+    seed = _default(opt["seed"], default_seed)
     if kind == "none":
         return None
     if kind == "single_mode":
-        k = _get_list(kv, f"{prefix}.k", int)
-        if k is None:
-            raise ConfigError(f"{prefix}.k is required for single_mode")
+        k = _required(options, f"{prefix}.k", " for single_mode")
         if len(k) != grid.dimension:
             raise ConfigError(f"{prefix}.k: expected {grid.dimension} integers")
-        amp = _get_float(kv, f"{prefix}.amplitude", 1.0)
-        f = single_mode_field(grid, tuple(k), amp)
+        f = single_mode_field(grid, k, opt["amplitude"])
     elif kind == "random_band":
-        kmin = _get_float(kv, f"{prefix}.kmin", 1.0)
-        kmax = _get_float(kv, f"{prefix}.kmax", max(2.0, grid.modes_per_axis / 6.0))
-        amp = _get_float(kv, f"{prefix}.amplitude", 1.0)
-        seed = _get_int(kv, f"{prefix}.seed", default_seed)
-        f = random_band_field(grid, kmin, kmax, amp, seed, zero_k3_plane=zero_k3)
+        kmin = opt["kmin"]
+        kmax = _default(opt["kmax"], max(2.0, grid.modes_per_axis / 6.0))
+        if kmax < kmin:
+            raise ConfigError(f"{prefix}.kmax ({kmax:g}) must be at least {prefix}.kmin ({kmin:g})")
+        f = random_band_field(grid, kmin, kmax, opt["amplitude"], seed, zero_k3_plane=zero_k3)
     elif kind == "analytic_decay":
-        tau0 = _get_float(kv, f"{prefix}.tau0", 0.8)
-        amp = _get_float(kv, f"{prefix}.amplitude", 1.0)
-        seed = _get_int(kv, f"{prefix}.seed", default_seed)
-        f = analytic_decay_field(grid, tau0, amp, seed, zero_k3_plane=zero_k3)
+        f = analytic_decay_field(grid, opt["tau0"], opt["amplitude"], seed, zero_k3_plane=zero_k3)
     elif kind == "modes":
-        spec = kv.get(f"{prefix}.modes")
-        if spec is None:
-            raise ConfigError(f"{prefix}.modes is required for the modes generator")
+        spec = _required(options, f"{prefix}.modes", " for the modes generator")
         f = SpectralField.from_modes(grid, _parse_mode_list(spec, grid.dimension))
     else:  # from_checkpoint
-        path = kv.get(f"{prefix}.path")
-        if path is None:
-            raise ConfigError(f"{prefix}.path is required for from_checkpoint")
+        path = _required(options, f"{prefix}.path", " for from_checkpoint")
         state, meta = load_checkpoint(path)
         if state.theta.grid != grid:
             raise ConfigError(
@@ -260,52 +290,37 @@ class ParsedRun:
     config: SolverConfig
     theta0: SpectralField
     forcing: SpectralField
-    raw: dict[str, str]
-    init_kind: str
+    raw: dict[str, str]  # the file's key = value text, echoed by the manifest
+    options: dict[str, object]  # every schema key, typed: the given value or the default
     table: SymbolTable | None = None  # the loaded custom table, tabulated once
-
-    def extras_float_list(self, key: str) -> list[float]:
-        values = _get_list(self.raw, key)
-        if values is None:
-            raise ConfigError(f"missing required key {key}")
-        return values
 
 
 def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
     """Parse and validate a run configuration document.
 
-    Rejects unknown keys, out-of-range values, mean-violating forcing, and
-    the ill-posed regime (singular mg drift with kappa = 0 and
-    non-analytic initial data), each with a distinct message.
+    Every given key is parsed and range-checked against ``CONFIG_KEYS``,
+    whatever the command.  Rejects unknown keys, out-of-range values,
+    mean-violating forcing, and the ill-posed regime (singular mg drift
+    with kappa = 0 and non-analytic initial data), each with a distinct
+    message.
     """
     kv = _parse_kv(text)
+    options = _read_options(kv)
 
-    kind = kv.get("drift.kind")
-    if kind is None:
-        raise ConfigError("drift.kind is required")
-    kind = kind.lower()
-    if kind not in _DRIFT_CODES:
-        raise ConfigError(f"drift.kind: unknown law {kind!r}")
-    nu = _get_float(kv, "drift.nu", 0.0)
-    if nu < 0:
-        raise ConfigError(f"drift.nu must be >= 0, got {nu}")
-
-    default_dim = {"mg": 3, "sqg": 2}.get(kind)
-    dimension = _get_int(kv, "grid.dimension", default_dim)
+    kind = _required(options, "drift.kind")
+    nu = options["drift.nu"]
+    dimension = _default(options["grid.dimension"], {"mg": 3, "sqg": 2}.get(kind))
     if dimension is None:
         raise ConfigError("grid.dimension is required for custom drifts")
-    modes = _get_int(kv, "grid.modes", 64 if dimension == 2 else 24)
+    modes = _default(options["grid.modes"], 64 if dimension == 2 else 24)
     try:
         grid = GridSpec(dimension=dimension, modes_per_axis=modes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     if kind == "custom":
-        path = kv.get("drift.table")
-        if path is None:
-            raise ConfigError("drift.table is required for custom drifts")
-        strict = _get_bool(kv, "drift.strict", True)
-        table = load_custom_symbol_file(path, dimension, grid, strict=strict)
+        path = _required(options, "drift.table", " for custom drifts")
+        table = load_custom_symbol_file(path, dimension, grid, strict=options["drift.strict"])
         drift = table.spec
     else:
         table = None
@@ -315,28 +330,17 @@ def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
                 f"{kind} drift is {drift.dimension}-d but grid.dimension = {dimension}"
             )
 
-    kappa = _get_float(kv, "solver.kappa")
-    if kappa is None:
-        raise ConfigError("solver.kappa is required")
-    gamma = _get_float(kv, "solver.gamma", 1.0 if kind == "sqg" else 2.0)
-    t_end = _get_float(kv, "solver.t_end")
-    if t_end is None:
-        raise ConfigError("solver.t_end is required")
-    dt_raw = kv.get("solver.dt", "auto")
-    dt = None if dt_raw.lower() == "auto" else _get_float(kv, "solver.dt")
-    cfl = _get_float(kv, "solver.cfl_safety", 0.5)
-    integrator = kv.get("solver.integrator", "etdrk2").lower().replace("-", "")
-    dealias = kv.get("solver.dealias", "2/3")
+    kappa = _required(options, "solver.kappa")
     try:
         config = SolverConfig(
             kappa=kappa,
-            gamma=gamma,
+            gamma=_default(options["solver.gamma"], 1.0 if kind == "sqg" else 2.0),
             drift=drift,
-            t_end=t_end,
-            dt=dt,
-            cfl_safety=cfl,
-            integrator=integrator,
-            dealias=dealias,
+            t_end=_required(options, "solver.t_end"),
+            dt=options["solver.dt"],
+            cfl_safety=options["solver.cfl_safety"],
+            integrator=options["solver.integrator"],
+            dealias=options["solver.dealias"],
         )
     except ConfigError:
         raise
@@ -344,22 +348,21 @@ def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
         raise ConfigError(str(exc)) from exc
 
     zero_k3 = kind == "mg"
-    init_kind = kv.get("init.kind", "random_band")
     if (
         kind == "mg"
         and nu == 0.0
         and kappa == 0.0
-        and init_kind not in _ANALYTIC_GENERATORS
+        and _default(options["init.kind"], "random_band") not in _ANALYTIC_GENERATORS
     ):
         raise ConfigError(
             "ill-posed regime rejected: singular mg drift (nu=0) with kappa=0 "
             "requires analytic initial data (single_mode, analytic_decay or modes)"
         )
 
-    theta0 = _build_generated_field(kv, "init", grid, zero_k3, default_seed)
+    theta0 = _build_generated_field(options, "init", grid, zero_k3, default_seed)
     if theta0 is None:
         raise ConfigError("init.kind: 'none' is not a valid initial condition")
-    forcing = _build_generated_field(kv, "forcing", grid, zero_k3, default_seed + 1)
+    forcing = _build_generated_field(options, "forcing", grid, zero_k3, default_seed + 1)
     if forcing is None:
         forcing = SpectralField.zeros(grid)
 
@@ -369,7 +372,7 @@ def parse_config(text: str, default_seed: int = 0) -> ParsedRun:
         theta0=theta0,
         forcing=forcing,
         raw=kv,
-        init_kind=init_kind,
+        options=options,
         table=table,
     )
 
@@ -551,8 +554,7 @@ def _diag_rows(records: list[DiagnosticRecord], hs: Sequence[float]):
 
 
 def _cmd_run(parsed: ParsedRun, out: Path, args) -> int:
-    hs = _get_list(parsed.raw, "diag.hs", default=[1.0])
-    every = _get_int(parsed.raw, "diag.observe_every", 1)
+    hs = parsed.options["diag.hs"]
     records: list[DiagnosticRecord] = []
 
     def observer(state: SimulationState) -> None:
@@ -568,7 +570,7 @@ def _cmd_run(parsed: ParsedRun, out: Path, args) -> int:
         parsed.forcing,
         table=parsed.table,
         observers=(observer,),
-        observe_every=every,
+        observe_every=parsed.options["diag.observe_every"],
     )
     header, rows = _diag_rows(records, hs)
     write_csv(out / "diagnostics.csv", header, rows)
@@ -579,9 +581,7 @@ def _cmd_run(parsed: ParsedRun, out: Path, args) -> int:
 
 def _cmd_audit(parsed: ParsedRun, out: Path, args) -> int:
     spec = parsed.config.drift
-    probes = _get_list(parsed.raw, "sweep.nus", default=[]) or [
-        getattr(spec, "nu", 0.0)
-    ]
+    probes = parsed.options["sweep.nus"] or [getattr(spec, "nu", 0.0)]
     report = verify_assumptions(spec, parsed.grid, probes if spec.kind == "mg" else None)
     rows = [
         ("div_max", report.div_max),
@@ -599,27 +599,17 @@ def _cmd_audit(parsed: ParsedRun, out: Path, args) -> int:
 
 
 def _cmd_sweep_kappa(parsed: ParsedRun, out: Path, args) -> int:
-    kappas = parsed.extras_float_list("sweep.kappas")
     base = parsed.config
     if base.dt is None:
         base = replace(base, dt=DEFAULT_SWEEP_DT)
-    norm_labels = parsed.raw.get("sweep.norms", "l2").split()
-    norms = []
-    for label in norm_labels:
-        if label == "l2":
-            norms.append(("l2",))
-        elif label == "h1":
-            norms.append(("hs", 1.0))
-        else:
-            raise ConfigError(f"sweep.norms: unknown norm {label!r}")
     try:
         plan = SweepPlan(
             base=base,
             parameter="kappa",
-            values=tuple(kappas),
+            values=_required(parsed.options, "sweep.kappas"),
             theta0=parsed.theta0,
             forcing=parsed.forcing,
-            norms=tuple(norms),
+            norms=tuple(_NORMS[label] for label in parsed.options["sweep.norms"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -638,18 +628,18 @@ def _cmd_sweep_kappa(parsed: ParsedRun, out: Path, args) -> int:
 
 
 def _cmd_sweep_nu(parsed: ParsedRun, out: Path, args) -> int:
-    nus = parsed.extras_float_list("sweep.nus")
-    transient = _get_float(parsed.raw, "sweep.transient", 10.0)
-    cadence = _get_float(parsed.raw, "sweep.cadence", 0.5)
-    count = _get_int(parsed.raw, "sweep.count", 20)
+    opts = parsed.options
+    transient, cadence, count = opts["sweep.transient"], opts["sweep.cadence"], opts["sweep.count"]
     base = parsed.config
     if base.drift.kind != "mg":
         raise ConfigError("sweep-nu requires the mg drift family")
+    if base.kappa <= 0:
+        raise ConfigError(f"sweep-nu requires solver.kappa > 0, got {base.kappa:g}")
     try:
         plan = SweepPlan(
             base=base if base.dt is not None else replace(base, dt=DEFAULT_SWEEP_DT),
             parameter="nu",
-            values=tuple(nus),
+            values=_required(opts, "sweep.nus"),
             theta0=parsed.theta0,
             forcing=parsed.forcing,
         )
@@ -672,16 +662,9 @@ def _cmd_sweep_nu(parsed: ParsedRun, out: Path, args) -> int:
 
 
 def _cmd_lyapunov(parsed: ParsedRun, out: Path, args) -> int:
-    n = _get_int(parsed.raw, "lyapunov.n", 4)
-    interval = _get_float(parsed.raw, "lyapunov.renorm_interval", 0.5)
-    total = _get_float(parsed.raw, "lyapunov.total_time", 50.0)
-    inner = parsed.raw.get("lyapunov.inner", "h1")
-    if n < 1:
-        raise ConfigError(f"lyapunov.n must be >= 1, got {n}")
-    if inner not in INNER_PRODUCTS:
-        raise ConfigError(f"lyapunov.inner must be one of {INNER_PRODUCTS}, got {inner!r}")
-    if interval <= 0:
-        raise ConfigError(f"lyapunov.renorm_interval must be positive, got {interval:g}")
+    opts = parsed.options
+    n = opts["lyapunov.n"]
+    interval, total = opts["lyapunov.renorm_interval"], opts["lyapunov.total_time"]
     if total < 2 * interval:
         raise ConfigError(
             f"lyapunov.total_time ({total:g}) must be at least twice "
@@ -696,7 +679,7 @@ def _cmd_lyapunov(parsed: ParsedRun, out: Path, args) -> int:
         total_time=total,
         table=parsed.table,
         seed=args.seed,
-        inner_product=inner,
+        inner_product=opts["lyapunov.inner"],
     )
     sums = result.cumulative_sums
     write_csv(
@@ -717,16 +700,14 @@ def _cmd_lyapunov(parsed: ParsedRun, out: Path, args) -> int:
 
 
 def _cmd_gevrey_track(parsed: ParsedRun, out: Path, args) -> int:
-    r = _get_float(parsed.raw, "gevrey.r", 0.0)
-    s = _get_float(parsed.raw, "gevrey.s", 1.0)
-    frac = _get_float(parsed.raw, "gevrey.tau_fraction", 0.5)
+    frac = parsed.options["gevrey.tau_fraction"]
     tau0 = analyticity_radius_estimate(parsed.theta0).tau_hat
     rows = gevrey_radius_track(
         parsed.config,
         parsed.theta0,
         parsed.forcing,
-        r=r,
-        s=s,
+        r=parsed.options["gevrey.r"],
+        s=parsed.options["gevrey.s"],
         tau_schedule=lambda t: frac * tau0,
         table=parsed.table,
     )

@@ -156,6 +156,20 @@ def _run_with_snapshots(
     return snapshots
 
 
+def _map_members(member: Callable, values: Sequence[float], max_workers: int) -> list:
+    """``[member(v) for v in values]``, on up to ``max_workers`` threads.
+
+    With one worker the members run serially in the calling thread, so
+    Ctrl-C stops the sweep at once.
+    """
+    if max_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return list(pool.map(member, values))
+    return [member(v) for v in values]
+
+
 def kappa_sweep(
     plan: SweepPlan, max_workers: int = 1, table: SymbolTable | None = None
 ) -> KappaSweepResult:
@@ -197,13 +211,7 @@ def kappa_sweep(
 
     try:
         ref_snaps = _run_with_snapshots(ref_config, plan.theta0, plan.forcing, times, table)
-        if max_workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                snaps_by_kappa = dict(zip(kappas, pool.map(member, kappas)))
-        else:
-            snaps_by_kappa = {kappa: member(kappa) for kappa in kappas}
+        snaps_by_kappa = dict(zip(kappas, _map_members(member, kappas, max_workers)))
         for kappa in kappas:
             snaps = snaps_by_kappa[kappa]
             for t in times:
@@ -400,13 +408,7 @@ def nu_sweep_attractor(
             transient, cadence, count, c0_hat,
         )
 
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            clouds = list(pool.map(member, nus))
-    else:
-        clouds = [member(nu) for nu in nus]
+    clouds = _map_members(member, nus, max_workers)
     rows = [(nu, semidistance(cloud, reference, norm)) for nu, cloud in zip(nus, clouds)]
     corr = _spearman([r[0] for r in rows], [r[1] for r in rows])
     return NuSweepResult(rows=rows, spearman=corr, norm=norm)

@@ -394,9 +394,6 @@ class SpectralField:
         c[grid.nyquist_mask] = 0.0
         return cls._wrap(grid, c)
 
-    def copy_coeffs(self) -> np.ndarray:
-        return np.array(self.coeffs)
-
     # Linear-space arithmetic (preserves all invariants).
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
@@ -583,13 +580,16 @@ def divergence_residual(u: VectorField) -> float:
     return float(np.max(np.abs(div))) / scale
 
 
+# Accepted dealias rules, each naming the GridSpec half-spectrum mask it keeps.
+DEALIAS_RULES = {"2/3": "half_dealias_mask", "two_thirds": "half_dealias_mask",
+                 "none": "half_mode_mask", None: "half_mode_mask"}
+
+
 def _dealias_selector(grid: GridSpec, rule: str) -> np.ndarray:
     """Half-spectrum mask of the modes kept around a product under ``rule``."""
-    if rule in ("2/3", "two_thirds"):
-        return grid.half_dealias_mask
-    if rule in ("none", None):
-        return grid.half_mode_mask
-    raise ValueError(f"unknown dealias rule {rule!r}")
+    if rule not in DEALIAS_RULES:
+        raise ValueError(f"unknown dealias rule {rule!r}")
+    return getattr(grid, DEALIAS_RULES[rule])
 
 
 def _flux_divergence(grid: GridSpec, flux: np.ndarray, mask: np.ndarray) -> np.ndarray:

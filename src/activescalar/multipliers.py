@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractViolationError, GridMismatchError
+from .errors import ConfigError, ContractViolationError, GridMismatchError
 from .grid import GridSpec, SpectralField, VectorField, _cleaned, _project_half
 
 __all__ = [
@@ -421,27 +421,35 @@ def load_custom_symbol_file(
     One line per wavevector: d integers k, then d pairs (re, im),
     whitespace-separated.  Unlisted wavevectors default to zero.  With
     strict=True the table must pass the structural audits; otherwise
-    violations only raise a warning.
+    violations only raise a warning.  An unreadable file raises ConfigError,
+    a malformed line ContractViolationError naming ``path:lineno``.
     """
     import warnings
 
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read custom symbol table: {exc}") from exc
     entries: dict[tuple[int, ...], np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != dimension + 2 * dimension:
-                raise ContractViolationError(
-                    f"{path}:{lineno}: expected {3 * dimension} numbers, got {len(parts)}"
-                )
+    for lineno, line in enumerate(lines, 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != dimension + 2 * dimension:
+            raise ContractViolationError(
+                f"{path}:{lineno}: expected {3 * dimension} numbers, got {len(parts)}"
+            )
+        try:
             k = tuple(int(p) for p in parts[:dimension])
             vals = [float(p) for p in parts[dimension:]]
-            entries[k] = np.array(
-                [complex(vals[2 * j], vals[2 * j + 1]) for j in range(dimension)],
-                dtype=np.complex128,
-            )
+        except ValueError as exc:
+            raise ContractViolationError(f"{path}:{lineno}: not a number: {body!r}") from exc
+        entries[k] = np.array(
+            [complex(vals[2 * j], vals[2 * j + 1]) for j in range(dimension)],
+            dtype=np.complex128,
+        )
 
     spec = MultiplierSpec(
         kind="custom", dimension=dimension, symbol_fn=_ListedSymbol(entries, dimension),

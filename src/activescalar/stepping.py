@@ -48,6 +48,7 @@ from .errors import (
     StabilityError,
 )
 from .grid import (
+    DEALIAS_RULES,
     GridSpec,
     SpectralField,
     VectorField,
@@ -108,6 +109,10 @@ class SolverConfig:
         if self.integrator not in INTEGRATORS:
             raise ConfigError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
+            )
+        if self.dealias not in DEALIAS_RULES:
+            raise ConfigError(
+                f"dealias must be one of {tuple(DEALIAS_RULES)}, got {self.dealias!r}"
             )
 
 

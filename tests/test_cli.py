@@ -7,12 +7,15 @@ import platform
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from activescalar import (
     CheckpointError,
@@ -26,7 +29,9 @@ from activescalar import (
 )
 from activescalar.cli import (
     _HEADER,
+    CONFIG_KEYS,
     MAGIC,
+    CheckpointMeta,
     expected_coefficient_count,
     load_checkpoint,
     main,
@@ -44,6 +49,16 @@ solver.t_end = 1
 """
 
 SMALL = MINIMAL.replace("grid.modes = 64", "grid.modes = 16")
+
+# a cheap mg config for sweep-nu and audit-symbols; solver.kappa is left to the case
+MG_SMALL = """
+drift.kind = mg
+drift.nu = 0.5
+grid.modes = 8
+solver.t_end = 0.1
+solver.dt = 0.05
+sweep.transient = 0.1
+"""
 
 CUSTOM = """
 drift.kind = custom
@@ -132,6 +147,76 @@ init.modes = 1 1 0 1.0 0.0
         c = parse_config(MINIMAL, default_seed=2)
         assert np.array_equal(a.theta0.coeffs, b.theta0.coeffs)
         assert not np.array_equal(a.theta0.coeffs, c.theta0.coeffs)
+
+
+# the 46 config keys; adding or dropping one is a schema change
+SCHEMA_KEYS = {
+    "grid.dimension", "grid.modes",
+    "drift.kind", "drift.nu", "drift.table", "drift.strict",
+    "solver.kappa", "solver.gamma", "solver.dt", "solver.t_end", "solver.cfl_safety",
+    "solver.integrator", "solver.dealias",
+    *(f"{prefix}.{name}" for prefix in ("init", "forcing")
+      for name in ("kind", "k", "amplitude", "kmin", "kmax", "seed", "tau0", "modes", "path")),
+    "diag.hs", "diag.observe_every",
+    "sweep.kappas", "sweep.nus", "sweep.norms", "sweep.transient", "sweep.cadence", "sweep.count",
+    "lyapunov.n", "lyapunov.renorm_interval", "lyapunov.total_time", "lyapunov.inner",
+    "gevrey.r", "gevrey.s", "gevrey.tau_fraction",
+}
+
+
+def _refuses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+# keys with a numeric, list or boolean parser: every one of them refuses "x"
+TYPED_KEYS = [key for key, spec in CONFIG_KEYS.items() if _refuses(spec.parse, "x")]
+
+
+class TestConfigSchema:
+    def test_key_set_and_docs(self):
+        assert set(CONFIG_KEYS) == SCHEMA_KEYS and len(CONFIG_KEYS) == 46
+        for key, spec in CONFIG_KEYS.items():
+            assert spec.doc.strip(), key
+
+    def test_defaults_pass_their_range_checks(self):
+        for key, spec in CONFIG_KEYS.items():
+            if spec.default is not None:
+                assert spec.accepts(spec.default), key
+
+    def test_typed_keys_cover_the_schema(self):
+        assert len(TYPED_KEYS) == 34
+        assert {"drift.strict", "solver.dt", "diag.hs", "init.k", "lyapunov.n"} <= set(TYPED_KEYS)
+
+    @pytest.mark.parametrize("key", TYPED_KEYS)
+    def test_typed_key_checked_whatever_the_command(self, tmp_path, capsys, key):
+        # `ascl run` reads none of the sweep, lyapunov or gevrey keys
+        keys = dict(line.split(" = ") for line in SMALL.strip().splitlines())
+        keys[key] = "x"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_options_hold_every_key_typed(self):
+        parsed = parse_config(MINIMAL + "lyapunov.n = 3\nsweep.nus = 0.5 0.25\ndrift.strict = no\n")
+        assert set(parsed.options) == SCHEMA_KEYS
+        assert parsed.options["lyapunov.n"] == 3
+        assert parsed.options["sweep.nus"] == (0.5, 0.25)
+        assert parsed.options["drift.strict"] is False
+        assert parsed.options["sweep.count"] == 20  # the default
+        assert parsed.options["sweep.kappas"] is None  # required by sweep-kappa only
+
+    def test_given_zero_is_not_replaced_by_a_default(self):
+        # init.seed = 0 must win over --seed 5
+        given_zero = parse_config(MINIMAL + "init.seed = 0\n", default_seed=5)
+        seed_zero = parse_config(MINIMAL, default_seed=0)
+        assert np.array_equal(given_zero.theta0.coeffs, seed_zero.theta0.coeffs)
 
 
 def loop_reference_payload(theta):
@@ -233,6 +318,60 @@ class TestCheckpoint:
         assert first[0] == v.real and first[1] == v.imag
 
 
+@st.composite
+def checkpoint_cases(draw):
+    kind = draw(st.sampled_from(["mg", "sqg", "custom"]))
+    dimension = {"mg": 3, "sqg": 2}.get(kind) or draw(st.sampled_from([2, 3]))
+    grid = GridSpec(dimension, draw(st.sampled_from([8, 10, 12, 14, 16])))
+    nu = draw(st.floats(0.0, 10.0))
+    if kind == "custom":
+        drift = MultiplierSpec(
+            kind="custom", nu=nu, dimension=dimension,
+            symbol_fn=lambda k: np.zeros(dimension, complex),
+        )
+    else:
+        drift = MultiplierSpec(kind=kind, nu=nu)
+    # shells |k| <= 3 with k_d != 0 lie less than 1.5 apart, so every band holds a mode
+    kmin = draw(st.floats(1.0, 2.0))
+    theta = random_band_field(
+        grid, kmin, kmin + draw(st.floats(1.5, 4.0)), draw(st.floats(0.01, 10.0)),
+        draw(st.integers(0, 2**32 - 1)), zero_k3_plane=kind == "mg",
+    )
+    config = SolverConfig(
+        kappa=draw(st.floats(0.0, 1e3)),
+        gamma=draw(st.floats(0.0, 2.0, exclude_min=True)),
+        drift=drift,
+        t_end=1.0,
+    )
+    t = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return SimulationState(t=t, theta=theta, step_count=0), config
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(case=checkpoint_cases())
+    def test_round_trip_bit_exact(self, case):
+        state, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.ckpt"
+            save_checkpoint(state, config, path)
+            loaded, meta = load_checkpoint(path)
+            # the stored modes come back bit for bit, signs of zeros included
+            again = Path(tmp) / "again.ckpt"
+            save_checkpoint(loaded, config, again)
+            assert again.read_bytes() == path.read_bytes()
+        assert loaded.theta.grid == state.theta.grid
+        # the conjugate half is rebuilt: equal values, and equal bits off zero
+        a, b = loaded.theta.coeffs, state.theta.coeffs
+        assert np.array_equal(a, b)
+        nonzero = b != 0
+        assert np.array_equal(a[nonzero].view(np.uint64), b[nonzero].view(np.uint64))
+        assert meta == CheckpointMeta(
+            t=state.t, kappa=config.kappa, gamma=config.gamma,
+            drift_kind=config.drift.kind, nu=config.drift.nu,
+        )
+
+
 class TestCsv:
     def test_header_and_precision(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -313,10 +452,47 @@ class TestMainDispatch:
             pytest.param(
                 "lyapunov", SMALL + "lyapunov.renorm_interval = 0", id="lyapunov.renorm_interval = 0"
             ),
+            pytest.param("run", SMALL + "init.kmin = 0", id="init.kmin = 0"),
+            pytest.param(
+                "run", SMALL + "init.kmin = 5\ninit.kmax = 2", id="init.kmax below init.kmin"
+            ),
+            pytest.param(
+                "run", SMALL + "init.kind = analytic_decay\ninit.tau0 = 0", id="init.tau0 = 0"
+            ),
+            pytest.param(
+                "sweep-nu",
+                MG_SMALL + "solver.kappa = 0.1\nsweep.nus = 0.4 0.2\nsweep.count = 0",
+                id="sweep.count = 0",
+            ),
+            pytest.param(
+                "sweep-nu",
+                MG_SMALL + "solver.kappa = 0.1\nsweep.nus = 0.4 0.2\nsweep.cadence = 0",
+                id="sweep.cadence = 0",
+            ),
+            pytest.param(
+                "sweep-nu",
+                MG_SMALL + "solver.kappa = 0\nsweep.nus = 0.4 0.2\nsweep.count = 2",
+                id="sweep-nu with solver.kappa = 0",
+            ),
+            pytest.param(
+                "audit-symbols", MG_SMALL + "solver.kappa = 0.1\nsweep.nus = -1", id="sweep.nus = -1"
+            ),
+            pytest.param("run", SMALL + "solver.dealias = 1/2", id="solver.dealias = 1/2"),
+            pytest.param(
+                "run",
+                CUSTOM.replace("table.txt", "words.txt") + "solver.kappa = 0.1",
+                id="table entry not a number",
+            ),
+            pytest.param(
+                "run",
+                CUSTOM.replace("table.txt", "missing.txt") + "solver.kappa = 0.1",
+                id="missing table file",
+            ),
         ],
     )
     def test_malformed_value_one_line_exit_one(self, tmp_path, capsys, command, text):
         (tmp_path / "table.txt").write_text(DIVERGENT_TABLE)
+        (tmp_path / "words.txt").write_text("1 x 0 0 0 1\n")
         cfg = self._write(tmp_path, text.format(tmp=tmp_path) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the lenient table's audit warning

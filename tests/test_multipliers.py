@@ -19,7 +19,7 @@ from activescalar import (
     to_physical,
     verify_assumptions,
 )
-from activescalar.errors import ContractViolationError, GridMismatchError
+from activescalar.errors import ConfigError, ContractViolationError, GridMismatchError
 from activescalar.multipliers import estimated_symbol_order, symbol_is_bounded
 
 
@@ -279,3 +279,14 @@ class TestCustomSymbolFile:
         path.write_text("1 0 1.0\n")
         with pytest.raises(ContractViolationError):
             load_custom_symbol_file(path, 2, GridSpec(2, 16))
+
+    @pytest.mark.parametrize("line", ["1 x 0 0 0 1", "1 0 0 0 0 one", "1.5 0 0 0 0 1"])
+    def test_non_numeric_entry_names_its_line(self, tmp_path, line):
+        path = tmp_path / "words.txt"
+        path.write_text("0 1 0 -1 0 0\n" + line + "\n")
+        with pytest.raises(ContractViolationError, match=rf"words\.txt:2: not a number"):
+            load_custom_symbol_file(path, 2, GridSpec(2, 16))
+
+    def test_unreadable_path_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read custom symbol table"):
+            load_custom_symbol_file(tmp_path / "missing.txt", 2, GridSpec(2, 16))

@@ -48,6 +48,15 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(kappa=1, gamma=1, drift=SQG, t_end=1, cfl_safety=0.0)
 
+    @pytest.mark.parametrize("rule", ["2/3", "two_thirds", "none", None])
+    def test_accepts_every_dealias_rule(self, rule):
+        assert SolverConfig(kappa=1, gamma=1, drift=SQG, t_end=1, dealias=rule).dealias == rule
+
+    @pytest.mark.parametrize("rule", ["1/2", "None", ""])
+    def test_rejects_unknown_dealias_rule(self, rule):
+        with pytest.raises(ConfigError, match="dealias"):
+            SolverConfig(kappa=1, gamma=1, drift=SQG, t_end=1, dealias=rule)
+
 
 class TestLinearPropagator:
     def test_kappa_zero_all_ones(self):
